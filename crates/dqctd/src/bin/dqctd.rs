@@ -5,10 +5,11 @@
 use dqctd::{Config, FsyncPolicy, Server};
 use qfault::FaultPlan;
 use std::io::Write;
-use std::net::TcpListener;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -43,7 +44,7 @@ accepted job is finished and answered, then the process exits 0.";
 
 /// SIGTERM/SIGINT handling with no dependencies: the libc `signal`
 /// function installing a handler that only stores to a static atomic
-/// (async-signal-safe); the accept loop polls the flag.
+/// (async-signal-safe); the accept loop's waker polls the flag.
 #[cfg(unix)]
 mod sig {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -221,34 +222,26 @@ fn run_tcp(server: &Arc<Server>, options: &Options) -> Result<(), String> {
         let rendered = format!("{}\n", local.port());
         std::fs::write(path, rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot poll the listener: {e}"))?;
     eprintln!("dqctd: listening on {local}");
+    let waker = spawn_waker(server, local);
     loop {
-        if sig::TERM.load(Ordering::SeqCst) || server.is_draining() {
+        let accepted = listener.accept();
+        // Checked after every accept, so the waker's connection ends the
+        // loop; a client that raced it is dropped like any connection that
+        // arrives once the drain has begun.
+        if stop_requested(server) {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
                 let server = Arc::clone(server);
-                std::thread::spawn(move || {
-                    let mut reader = match stream.try_clone() {
-                        Ok(reader) => reader,
-                        Err(_) => return,
-                    };
-                    server.serve_connection(&mut reader, Box::new(stream));
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::spawn(move || server.serve_tcp(stream));
             }
             Err(e) => return Err(format!("accept failed: {e}")),
         }
     }
+    // A stop was requested, so the waker has made its one connection.
+    let _ = waker.join();
     eprintln!(
         "dqctd: draining ({} accepted jobs in flight)",
         server.pending()
@@ -257,4 +250,32 @@ fn run_tcp(server: &Arc<Server>, options: &Options) -> Result<(), String> {
     let _ = std::io::stderr().flush();
     eprintln!("dqctd: drained cleanly");
     Ok(())
+}
+
+/// `true` once SIGTERM/SIGINT arrived or a client sent `drain`.
+fn stop_requested(server: &Server) -> bool {
+    sig::TERM.load(Ordering::SeqCst) || server.is_draining()
+}
+
+/// Wakes the blocking accept loop once a stop is requested. Neither the
+/// signal handler (an atomic store) nor the `drain` verb (a connection
+/// thread) can interrupt `accept`, so a thread watches both flags and then
+/// connects once to the listener.
+fn spawn_waker(server: &Arc<Server>, local: SocketAddr) -> JoinHandle<()> {
+    let server = Arc::clone(server);
+    let target = if local.ip().is_unspecified() {
+        let loopback = match local.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        };
+        SocketAddr::new(loopback, local.port())
+    } else {
+        local
+    };
+    std::thread::spawn(move || {
+        while !stop_requested(&server) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
+    })
 }

@@ -12,11 +12,18 @@
 //! Bounded FIFO eviction: the cache never exceeds its capacity, and under
 //! template-heavy traffic (the intended workload) the hot entries are
 //! re-filled at worst once per eviction cycle.
+//!
+//! Single flight: [`TransformCache::lookup`] checks for an entry and, on a
+//! miss, claims the key in the same critical section. A concurrent lookup
+//! of a claimed key waits for the claim's result instead of transforming
+//! the same circuit again ([`Lookup::Coalesced`]). A claim dropped without
+//! a result — the transform failed or panicked — wakes its waiters, which
+//! then transform for themselves; errors are never cached.
 
 use dqc::DynamicScheme;
 use qcir::Circuit;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// A verified transform, ready to re-simulate.
 #[derive(Debug)]
@@ -71,6 +78,88 @@ pub struct TransformCache {
 struct CacheState {
     entries: HashMap<u64, Arc<CachedTransform>>,
     order: VecDeque<u64>,
+    /// Keys a claim is transforming right now.
+    inflight: HashMap<u64, Arc<Flight>>,
+}
+
+/// One claimed key's transform, shared by the claim and its waiters.
+#[derive(Debug, Default)]
+struct Flight {
+    outcome: Mutex<FlightOutcome>,
+    settled: Condvar,
+}
+
+#[derive(Debug, Default)]
+enum FlightOutcome {
+    #[default]
+    Pending,
+    Ready(Arc<CachedTransform>),
+    Abandoned,
+}
+
+/// What [`TransformCache::lookup`] found.
+#[derive(Debug)]
+pub enum Lookup<'a> {
+    /// The transform was cached.
+    Hit(Arc<CachedTransform>),
+    /// Another caller was transforming the same key; this lookup waited
+    /// for its result and ran no transform.
+    Coalesced(Arc<CachedTransform>),
+    /// The caller must transform, then hand the result to the claim.
+    Miss(Claim<'a>),
+}
+
+/// The obligation a [`Lookup::Miss`] carries: [`Claim::fill`] caches the
+/// transform and wakes every lookup waiting on the key. Dropping the claim
+/// unfilled (an error, or a panic unwinding past it) wakes the waiters
+/// empty-handed, and each of them transforms for itself.
+#[derive(Debug)]
+#[must_use = "dropping a claim unfilled makes every waiter transform for itself"]
+pub struct Claim<'a> {
+    cache: &'a TransformCache,
+    key: u64,
+    /// The key's flight when this claim leads it; `None` for a miss that
+    /// leads nothing (caching disabled, or a waiter whose leader gave up).
+    flight: Option<Arc<Flight>>,
+}
+
+impl Claim<'_> {
+    /// Caches `value` under the claimed key and hands it to every waiter.
+    pub fn fill(mut self, value: Arc<CachedTransform>) {
+        self.settle(Some(value));
+    }
+
+    fn settle(&mut self, value: Option<Arc<CachedTransform>>) {
+        let flight = self.flight.take();
+        if let Ok(mut state) = self.cache.inner.lock() {
+            // Insert before retiring the flight, under one lock: a lookup
+            // sees the flight or the entry, never neither, so no second
+            // leader starts.
+            if let Some(value) = &value {
+                self.cache
+                    .insert_locked(&mut state, self.key, Arc::clone(value));
+            }
+            if flight.is_some() {
+                state.inflight.remove(&self.key);
+            }
+        }
+        if let Some(flight) = flight {
+            *flight
+                .outcome
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner) = match value {
+                Some(value) => FlightOutcome::Ready(value),
+                None => FlightOutcome::Abandoned,
+            };
+            flight.settled.notify_all();
+        }
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.settle(None);
+    }
 }
 
 impl TransformCache {
@@ -81,6 +170,56 @@ impl TransformCache {
         Self {
             capacity,
             inner: Mutex::new(CacheState::default()),
+        }
+    }
+
+    /// Looks up `key`, claiming it on a miss. When another caller holds
+    /// the claim, blocks until that caller fills or drops it.
+    pub fn lookup(&self, key: u64) -> Lookup<'_> {
+        let unclaimed = || {
+            Lookup::Miss(Claim {
+                cache: self,
+                key,
+                flight: None,
+            })
+        };
+        if self.capacity == 0 {
+            return unclaimed();
+        }
+        let flight = {
+            let Ok(mut state) = self.inner.lock() else {
+                return unclaimed(); // a poisoned cache serves misses
+            };
+            if let Some(hit) = state.entries.get(&key) {
+                return Lookup::Hit(Arc::clone(hit));
+            }
+            if let Some(flight) = state.inflight.get(&key) {
+                Arc::clone(flight)
+            } else {
+                let flight = Arc::new(Flight::default());
+                state.inflight.insert(key, Arc::clone(&flight));
+                return Lookup::Miss(Claim {
+                    cache: self,
+                    key,
+                    flight: Some(flight),
+                });
+            }
+        };
+        let mut outcome = flight
+            .outcome
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        loop {
+            match &*outcome {
+                FlightOutcome::Pending => {
+                    outcome = flight
+                        .settled
+                        .wait(outcome)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                FlightOutcome::Ready(value) => return Lookup::Coalesced(Arc::clone(value)),
+                FlightOutcome::Abandoned => return unclaimed(),
+            }
         }
     }
 
@@ -95,12 +234,15 @@ impl TransformCache {
 
     /// Inserts a transform, evicting the oldest entry when full.
     pub fn insert(&self, key: u64, value: Arc<CachedTransform>) {
+        if let Ok(mut state) = self.inner.lock() {
+            self.insert_locked(&mut state, key, value);
+        }
+    }
+
+    fn insert_locked(&self, state: &mut CacheState, key: u64, value: Arc<CachedTransform>) {
         if self.capacity == 0 {
             return;
         }
-        let Ok(mut state) = self.inner.lock() else {
-            return;
-        };
         if state.entries.insert(key, value).is_none() {
             state.order.push_back(key);
             while state.order.len() > self.capacity {
@@ -192,5 +334,49 @@ mod tests {
         cache.insert(1, entry());
         assert!(cache.is_empty());
         assert!(cache.get(1).is_none());
+        // No flights either: a second lookup of an unsettled key misses
+        // instead of waiting.
+        let first = cache.lookup(1);
+        assert!(matches!(first, Lookup::Miss(_)));
+        assert!(matches!(cache.lookup(1), Lookup::Miss(_)));
+        drop(first);
+    }
+
+    #[test]
+    fn lookups_of_a_claimed_key_wait_for_its_transform() {
+        let cache = TransformCache::new(4);
+        let Lookup::Miss(claim) = cache.lookup(7) else {
+            panic!("an empty cache misses");
+        };
+        let value = entry();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| cache.lookup(7));
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(!waiter.is_finished(), "a claimed key never misses twice");
+            claim.fill(Arc::clone(&value));
+            match waiter.join().expect("waiter") {
+                Lookup::Coalesced(got) | Lookup::Hit(got) => assert!(Arc::ptr_eq(&got, &value)),
+                Lookup::Miss(_) => panic!("the waiter must reuse the claim's transform"),
+            }
+        });
+        assert!(matches!(cache.lookup(7), Lookup::Hit(_)));
+    }
+
+    #[test]
+    fn an_unfilled_claim_wakes_its_waiters_to_transform_for_themselves() {
+        let cache = TransformCache::new(4);
+        let Lookup::Miss(claim) = cache.lookup(7) else {
+            panic!("an empty cache misses");
+        };
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| match cache.lookup(7) {
+                Lookup::Miss(own) => own.fill(entry()),
+                _ => panic!("nothing was cached, so the waiter transforms"),
+            });
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            drop(claim); // the leader's transform failed
+            waiter.join().expect("waiter");
+        });
+        assert!(matches!(cache.lookup(7), Lookup::Hit(_)));
     }
 }

@@ -32,7 +32,7 @@ pub mod journal;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{cache_key, CachedTransform, TransformCache};
+pub use cache::{cache_key, CachedTransform, Claim, Lookup, TransformCache};
 pub use journal::{FsyncPolicy, Journal, Recovery};
 pub use protocol::{
     field_counts, field_str, field_u64, parse_request, read_frame, render_submit, write_frame,

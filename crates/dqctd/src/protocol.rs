@@ -114,15 +114,22 @@ pub fn read_frame(r: &mut impl Read, max: u32) -> Result<Option<Vec<u8>>, FrameE
     }
 }
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload) with a single `write_all`.
+///
+/// Prefix and payload share one buffer so a socket sends them as one
+/// segment: written separately, the payload of a small response waits for
+/// the peer to acknowledge the 4-byte prefix, which a delayed-ACK client
+/// holds back for tens of milliseconds (DESIGN.md §14.1).
 ///
 /// # Errors
 ///
 /// Propagates transport errors; the caller decides whether a failed write
 /// is fatal (it usually means the client disconnected).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -343,7 +350,8 @@ pub struct JobOutcome {
     pub discarded: u64,
     /// Measured counts, in bitstring order.
     pub counts: Vec<(String, u64)>,
-    /// Whether the transform came from the content-hash cache.
+    /// Whether the job ran no transform of its own: the content-hash cache
+    /// held it, or the job waited on an identical job's transform.
     pub cache_hit: bool,
     /// Time spent queued before a worker picked the job up.
     pub queue_ms: f64,
@@ -523,6 +531,36 @@ mod tests {
             Some(Vec::new())
         );
         assert_eq!(read_frame(&mut r, MAX_FRAME_BYTES).expect("eof"), None);
+    }
+
+    /// Records every `write` call it receives, accepting each in full.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_leaves_in_one_write() {
+        for len in [0usize, 17, 64 << 10] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).expect("write");
+            assert_eq!(w.writes.len(), 1, "{len}-byte payload: one write call");
+            let sent = &w.writes[0];
+            assert_eq!(sent[..4], (len as u32).to_be_bytes(), "prefix first");
+            assert_eq!(sent[4..], payload[..], "payload in the same call");
+        }
     }
 
     #[test]

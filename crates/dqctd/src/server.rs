@@ -41,7 +41,7 @@
 //! job therefore still gets exactly one response: a respond-once guard
 //! makes the worker and the watchdog race-safe.
 
-use crate::cache::{cache_key, CachedTransform, TransformCache};
+use crate::cache::{cache_key, CachedTransform, Lookup, TransformCache};
 use crate::journal::{FsyncPolicy, Journal};
 use crate::protocol::{
     parse_request, read_frame, write_frame, FrameError, JobOutcome, JobSpec, RejectReason, Request,
@@ -54,7 +54,8 @@ use qfault::FaultPlan;
 use qobs::Observer;
 use qsim::{CancelToken, Executor, FaultSite, Termination};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -287,7 +288,8 @@ struct State {
 
 /// The running service: a worker pool behind a bounded queue, plus the
 /// connection driver ([`Server::serve_connection`]) the transport layer
-/// (TCP accept loop, stdio, or an in-memory test harness) feeds.
+/// (stdio, or an in-memory test harness) feeds; TCP connections enter
+/// through [`Server::serve_tcp`].
 pub struct Server {
     state: Arc<State>,
     watchdog: Mutex<Option<JoinHandle<()>>>,
@@ -403,6 +405,21 @@ impl Server {
                 Err(_) => return,
             }
         }
+    }
+
+    /// Drives one TCP client connection with the production socket
+    /// policy, then [`Server::serve_connection`]: TCP_NODELAY on the
+    /// socket, so a response leaves as soon as it is written instead of
+    /// waiting for the client to acknowledge an earlier one, and requests
+    /// read through a buffer over a clone of the stream, which stays the
+    /// response sink.
+    pub fn serve_tcp(&self, stream: TcpStream) {
+        // A socket that refuses the option still works, only slower.
+        let _ = stream.set_nodelay(true);
+        let Ok(read_half) = stream.try_clone() else {
+            return;
+        };
+        self.serve_connection(&mut BufReader::new(read_half), Box::new(stream));
     }
 
     /// Handles one parsed request; `false` ends the connection.
@@ -653,18 +670,21 @@ impl Server {
                 }
                 obs.counter_add("journal.records_written", 1);
             }
+            // Account for the job before a worker can see it: once pushed,
+            // it may finish — releasing all of this in `finish_job` —
+            // before this thread runs another line.
+            if let Ok(mut tokens) = state.tokens.lock() {
+                tokens.insert((conn, spec.id.clone()), token);
+            }
+            if let Ok(mut ids) = state.inflight_ids.lock() {
+                ids.insert(spec.id);
+            }
+            let inflight = state.inflight_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+            obs.gauge_set("service.inflight_bytes", inflight as f64);
+            state.pending.fetch_add(1, Ordering::SeqCst);
             queue.push_back(job);
             obs.gauge_set("service.queue_depth", queue.len() as f64);
         }
-        if let Ok(mut tokens) = state.tokens.lock() {
-            tokens.insert((conn, spec.id.clone()), token);
-        }
-        if let Ok(mut ids) = state.inflight_ids.lock() {
-            ids.insert(spec.id);
-        }
-        let inflight = state.inflight_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        obs.gauge_set("service.inflight_bytes", inflight as f64);
-        state.pending.fetch_add(1, Ordering::SeqCst);
         obs.counter_add("service.accepted", 1);
         self.state.available.notify_one();
         None
@@ -1150,7 +1170,9 @@ fn run_job(state: &Arc<State>, job: &Job, queue_wait: Duration, beat: &Arc<Atomi
     }
     let started = Instant::now();
 
-    // Transform, through the content-hash cache.
+    // Transform, through the content-hash cache. A lookup that coalesces
+    // onto another worker's transform blocks without ticking the
+    // heartbeat, so a wedged leader gets its waiters escalated too.
     let key = cache_key(
         &job.circuit,
         &job.answer,
@@ -1158,12 +1180,18 @@ fn run_job(state: &Arc<State>, job: &Job, queue_wait: Duration, beat: &Arc<Atomi
         &job.ancilla,
         job.scheme,
     );
-    let (transform, cache_hit) = match state.cache.get(key) {
-        Some(hit) => {
+    let (transform, cache_hit) = match state.cache.lookup(key) {
+        Lookup::Hit(hit) => {
             obs.counter_add("service.cache.hit", 1);
             (hit, true)
         }
-        None => {
+        // An identical job on another worker transformed while this one
+        // waited: no transform ran here, so the wire says "hit".
+        Lookup::Coalesced(shared) => {
+            obs.counter_add("service.cache.coalesced", 1);
+            (shared, true)
+        }
+        Lookup::Miss(claim) => {
             obs.counter_add("service.cache.miss", 1);
             let result: Result<_, DqcError> = Pipeline::new()
                 .scheme(job.scheme)
@@ -1174,9 +1202,11 @@ fn run_job(state: &Arc<State>, job: &Job, queue_wait: Duration, beat: &Arc<Atomi
                         circuit: result.dynamic.circuit().clone(),
                         tvd: result.report.tvd,
                     });
-                    state.cache.insert(key, Arc::clone(&entry));
+                    claim.fill(Arc::clone(&entry));
                     (entry, false)
                 }
+                // The claim drops unfilled: waiters transform for
+                // themselves, and the error is not cached.
                 Err(e) => {
                     obs.counter_add("service.errors", 1);
                     return Response::Error {

@@ -86,6 +86,24 @@ fn connect(port: u16) -> TcpStream {
     }
 }
 
+/// Waits for a drained daemon to exit, failing the test instead of
+/// hanging the suite if the drain never ends the process.
+fn wait_for_exit(child: &mut Child, name: &str) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        if let Some(status) = child.try_wait().expect("poll dqctd") {
+            assert!(status.success(), "{name} dqctd exited with {status}");
+            return;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{name} dqctd did not exit within 30 s of the drain verb");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 /// Submits `id` and reads until its own answer arrives; retries while the
 /// replay of the same id is still in flight.
 fn fetch_result(port: u16, id: &str) -> String {
@@ -179,7 +197,7 @@ fn sigkill_mid_burst_replays_every_admitted_job_bit_identically() {
     }
     let mut stream = connect(port);
     write_frame(&mut stream, b"drain").expect("send drain");
-    let _ = revived.wait();
+    wait_for_exit(&mut revived, "revived");
 
     // Phase 3: a third process on the same journal serves the recorded
     // responses byte-identically — recovery across two crash boundaries.
@@ -189,7 +207,7 @@ fn sigkill_mid_burst_replays_every_admitted_job_bit_identically() {
     }
     let mut stream = connect(port);
     write_frame(&mut stream, b"drain").expect("send drain");
-    let _ = archive.wait();
+    wait_for_exit(&mut archive, "archive");
 
     // The replayed counts are bit-identical to the same spec on a fresh
     // in-process server that never crashed: recovery is a pure re-run.

@@ -1,7 +1,7 @@
 //! End-to-end service tests over the in-memory transport (the same
-//! `serve_connection` the TCP and stdio transports drive), plus one real
-//! TCP round trip: submission, caching, load shedding, cancellation,
-//! deadlines, drain, and the chaos drill.
+//! `serve_connection` the TCP and stdio transports drive), plus real TCP
+//! round trips through `serve_tcp`: submission, caching, load shedding,
+//! cancellation, deadlines, drain, and the chaos drill.
 
 use dqctd::{
     field_counts, field_str, field_u64, job_scope_key, read_frame, render_submit, write_frame,
@@ -11,8 +11,11 @@ use qalgo::suites::toffoli_free_suite;
 use qcir::qasm::to_qasm;
 use qfault::FaultPlan;
 use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A response sink shared with the worker pool, snapshot-readable from
@@ -128,6 +131,44 @@ fn submit_runs_and_second_identical_job_hits_the_cache() {
     );
     assert_eq!(field_counts(first), field_counts(second));
     server.join();
+}
+
+#[test]
+fn concurrent_identical_jobs_share_one_transform() {
+    const K: usize = 6;
+    let server = Server::start(Config {
+        workers: K,
+        ..Config::default()
+    });
+    let sink = SharedBuf::default();
+    let payloads: Vec<Vec<u8>> = (0..K)
+        .map(|i| render_submit(&spec(&format!("same-{i}"), 64)))
+        .collect();
+    server.serve_connection(&mut framed(&payloads).as_slice(), Box::new(sink.clone()));
+    let frames = wait_for_frames(&sink, K);
+    server.join();
+    let metrics = server.metrics_json();
+    let counter = |name: &str| field_u64(&metrics, name).unwrap_or(0);
+    assert_eq!(
+        counter("service.cache.miss"),
+        1,
+        "one transform for {K} identical jobs: {metrics}"
+    );
+    assert_eq!(
+        counter("service.cache.hit") + counter("service.cache.coalesced"),
+        K as u64 - 1,
+        "{metrics}"
+    );
+    let first = field_counts(&frames[0]);
+    assert!(first.is_some(), "{}", frames[0]);
+    for frame in &frames {
+        assert_eq!(field_str(frame, "type"), Some("result"), "{frame}");
+        assert_eq!(
+            field_counts(frame),
+            first,
+            "identical jobs, identical counts"
+        );
+    }
 }
 
 #[test]
@@ -553,25 +594,59 @@ fn watchdog_replaces_a_wedged_worker_and_fails_its_job_with_a_typed_reason() {
     );
 }
 
-#[test]
-fn tcp_transport_round_trips_ping_submit_and_metrics() {
-    use std::net::{TcpListener, TcpStream};
-
-    let server = Server::start(Config::default());
+/// Serves one TCP connection through `serve_tcp` on a loopback listener.
+/// Returns the address, a clone of the accepted socket (sent once it is
+/// accepted) and the serving thread.
+fn serve_one_tcp_connection(
+    server: &Arc<Server>,
+) -> (SocketAddr, Receiver<TcpStream>, JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
-    let acceptor = {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            let mut reader = stream.try_clone().expect("clone stream");
-            server.serve_connection(&mut reader, Box::new(stream));
-        })
-    };
+    let (accepted_tx, accepted_rx) = mpsc::channel();
+    let server = Arc::clone(server);
+    let acceptor = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        accepted_tx
+            .send(stream.try_clone().expect("clone stream"))
+            .expect("test thread listening");
+        server.serve_tcp(stream);
+    });
+    (addr, accepted_rx, acceptor)
+}
+
+#[test]
+fn serve_tcp_sets_nodelay_on_the_accepted_socket() {
+    let server = Server::start(Config::default());
+    let (addr, accepted, acceptor) = serve_one_tcp_connection(&server);
     let mut client = TcpStream::connect(addr).expect("connect");
     write_frame(&mut client, b"ping").expect("send ping");
-    write_frame(&mut client, &render_submit(&spec("tcp-1", 16))).expect("send submit");
-    write_frame(&mut client, b"metrics").expect("send metrics");
+    let pong = read_frame(&mut client, MAX_FRAME_BYTES)
+        .expect("read pong")
+        .expect("pong present");
+    assert!(pong.starts_with(b"{\"type\":\"pong\""));
+    let socket = accepted.recv().expect("accepted socket");
+    assert!(
+        socket.nodelay().expect("read TCP_NODELAY"),
+        "responses must not wait behind Nagle's algorithm"
+    );
+    drop(client);
+    acceptor.join().expect("acceptor thread");
+    server.join();
+}
+
+#[test]
+fn tcp_transport_round_trips_ping_submit_and_metrics() {
+    let server = Server::start(Config::default());
+    let (addr, _accepted, acceptor) = serve_one_tcp_connection(&server);
+    let mut client = TcpStream::connect(addr).expect("connect");
+    // Three requests in one write: the server's buffered reader must split
+    // them back into frames.
+    let requests = framed(&[
+        b"ping".to_vec(),
+        render_submit(&spec("tcp-1", 16)),
+        b"metrics".to_vec(),
+    ]);
+    client.write_all(&requests).expect("send requests");
     let mut seen = Vec::new();
     for _ in 0..3 {
         let payload = read_frame(&mut client, MAX_FRAME_BYTES)

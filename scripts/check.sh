@@ -5,22 +5,57 @@
 # passes --offline (all dependencies resolve to in-repo shims, see
 # DESIGN.md §7.2), so no network access is required.
 #
-# Usage: ./scripts/check.sh [--fast]
-#   --fast  skip the release-mode build (debug tests only)
+# Usage: ./scripts/check.sh [--fast] [--soak N]
+#   --fast    skip the release-mode build (debug tests only)
+#   --soak N  run only the flake soak: the dqctd and qsim test suites N
+#             times, stopping at the first failing run, whose failing
+#             tests are printed before exiting non-zero
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FAST=0
-for arg in "$@"; do
-    case "$arg" in
+SOAK=0
+while [ "$#" -gt 0 ]; do
+    case "$1" in
     --fast) FAST=1 ;;
+    --soak)
+        if [ "$#" -lt 2 ] || ! [[ "$2" =~ ^[1-9][0-9]*$ ]]; then
+            echo "--soak needs a positive run count" >&2
+            exit 2
+        fi
+        SOAK="$2"
+        shift
+        ;;
     *)
-        echo "unknown argument: $arg" >&2
+        echo "unknown argument: $1" >&2
         exit 2
         ;;
     esac
+    shift
 done
+
+# Flake soak: tier-1 must pass every time, not most times. The suites that
+# drive threads, sockets and child processes run back to back; the first
+# failing run ends the soak with its failing tests on stderr.
+if [ "$SOAK" -gt 0 ]; then
+    SOAK_LOG="$(mktemp)"
+    trap 'rm -f "$SOAK_LOG"' EXIT
+    for i in $(seq 1 "$SOAK"); do
+        echo "==> soak run $i/$SOAK: cargo test --offline -q -p dqctd -p qsim"
+        if ! cargo test --offline -q -p dqctd -p qsim >"$SOAK_LOG" 2>&1; then
+            echo "soak FAILED on run $i of $SOAK; failing tests:" >&2
+            if grep -q '^failures:$' "$SOAK_LOG"; then
+                sed -n '/^failures:$/,/^test result:/p' "$SOAK_LOG" >&2
+            else
+                tail -n 40 "$SOAK_LOG" >&2
+            fi
+            exit 1
+        fi
+    done
+    echo "==> soak passed: $SOAK of $SOAK runs green"
+    exit 0
+fi
 
 run() {
     echo "==> $*"
