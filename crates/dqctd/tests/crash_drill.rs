@@ -41,9 +41,12 @@ fn spec(id: &str) -> JobSpec {
     }
 }
 
-/// Boots a dqctd child on an ephemeral port and waits for the port file.
+/// Boots a dqctd child on an ephemeral port and waits for the port file
+/// (named after the journal, so tests running side by side never share
+/// one).
 fn boot(journal: &Path, extra: &[&str]) -> (Child, u16) {
-    let port_file = temp_file("port");
+    let port_file = journal.with_extension("port");
+    let _ = std::fs::remove_file(&port_file);
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dqctd"));
     cmd.args([
         "--addr",
@@ -232,5 +235,21 @@ fn sigkill_mid_burst_replays_every_admitted_job_bit_identically() {
             "replayed counts must match a crash-free run\nreplayed: {answer}\nreference: {reference}"
         );
     }
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn drain_verb_ends_a_daemon_listening_on_an_unspecified_address() {
+    // The accept loop blocks; on drain its waker connects to the listener
+    // to unblock it, through loopback when the daemon listens on 0.0.0.0.
+    let journal = temp_file("unspecified-journal");
+    let (mut daemon, port) = boot(&journal, &["--addr", "0.0.0.0:0"]);
+    let mut stream = connect(port);
+    write_frame(&mut stream, b"drain").expect("send drain");
+    let frame = read_frame(&mut stream, MAX_FRAME_BYTES)
+        .expect("read drain answer")
+        .expect("drain answered");
+    assert!(frame.starts_with(b"{\"type\":\"draining\""));
+    wait_for_exit(&mut daemon, "unspecified-address");
     let _ = std::fs::remove_file(&journal);
 }
