@@ -205,21 +205,17 @@ impl TransformCache {
                 });
             }
         };
-        let mut outcome = flight
+        let pending = flight
             .outcome
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            match &*outcome {
-                FlightOutcome::Pending => {
-                    outcome = flight
-                        .settled
-                        .wait(outcome)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                FlightOutcome::Ready(value) => return Lookup::Coalesced(Arc::clone(value)),
-                FlightOutcome::Abandoned => return unclaimed(),
-            }
+        let outcome = flight
+            .settled
+            .wait_while(pending, |o| matches!(o, FlightOutcome::Pending))
+            .unwrap_or_else(PoisonError::into_inner);
+        match &*outcome {
+            FlightOutcome::Ready(value) => Lookup::Coalesced(Arc::clone(value)),
+            _ => unclaimed(),
         }
     }
 
