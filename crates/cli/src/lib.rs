@@ -412,7 +412,7 @@ pub fn usage() -> String {
      'prefix' shares unitary prefixes via a branch tree and samples shots\n\
      by walking it (bit-identical counts at the same seed), 'auto' (the\n\
      default) uses prefix whenever the run is eligible — tracing, fault\n\
-     injection, gate/idle noise or run budgets fall back to per-shot.\n\
+     injection, gate/idle noise or --max-failed fall back to per-shot.\n\
      A '// engine:' line reports the resolved engine."
         .to_string()
 }
@@ -597,15 +597,7 @@ pub fn run(qasm_text: &str, opts: &CliOptions) -> Result<String, String> {
         }
         if let Some(engine) = opts.engine {
             exec = exec.engine(engine);
-            // Report the engine actually used: the prefix tree additionally
-            // requires an unbounded resilient run, so budget flags force the
-            // per-shot path even when the circuit itself is tree-eligible.
-            let resolved = if opts.deadline_ms.is_some() || opts.max_failed.is_some() {
-                qsim::Engine::Shots
-            } else {
-                exec.resolve_engine(hardened)
-            };
-            let _ = writeln!(out, "// engine: {resolved}");
+            let _ = writeln!(out, "// engine: {}", exec.resolve_engine(hardened));
         }
         let (counts, report) = exec.run_resilient(hardened);
         let mut run_lines = Vec::new();
@@ -1036,6 +1028,8 @@ h q[1];
         assert!(run_with("--engine auto").contains("// engine: prefix"));
         assert!(run_with("--engine auto --inject meas-flip=0.1").contains("// engine: shots"));
         assert!(run_with("--engine auto --max-failed 3").contains("// engine: shots"));
+        // A deadline is polled cooperatively and keeps the prefix engine.
+        assert!(run_with("--engine prefix --deadline-ms 60000").contains("// engine: prefix"));
         assert!(!run_with("").contains("// engine:"));
     }
 

@@ -7,9 +7,10 @@
 #
 # Usage: ./scripts/check.sh [--fast] [--soak N]
 #   --fast    skip the release-mode build (debug tests only)
-#   --soak N  run only the flake soak: the dqctd and qsim test suites N
-#             times, stopping at the first failing run, whose failing
-#             tests are printed before exiting non-zero
+#   --soak N  run only the flake soak: the dqctd, qsim and root
+#             integration-tests suites N times, stopping at the first
+#             failing run, whose failing tests are printed before exiting
+#             non-zero
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,14 +37,17 @@ while [ "$#" -gt 0 ]; do
 done
 
 # Flake soak: tier-1 must pass every time, not most times. The suites that
-# drive threads, sockets and child processes run back to back; the first
-# failing run ends the soak with its failing tests on stderr.
+# drive threads, sockets and child processes run back to back, with the
+# cross-crate integration tests (engine differential, cross-backend,
+# fig7 shape) that sample through the executor at several thread counts;
+# the first failing run ends the soak with its failing tests on stderr.
 if [ "$SOAK" -gt 0 ]; then
     SOAK_LOG="$(mktemp)"
     trap 'rm -f "$SOAK_LOG"' EXIT
+    SOAK_PACKAGES=(-p dqctd -p qsim -p integration-tests)
     for i in $(seq 1 "$SOAK"); do
-        echo "==> soak run $i/$SOAK: cargo test --offline -q -p dqctd -p qsim"
-        if ! cargo test --offline -q -p dqctd -p qsim >"$SOAK_LOG" 2>&1; then
+        echo "==> soak run $i/$SOAK: cargo test --offline -q ${SOAK_PACKAGES[*]}"
+        if ! cargo test --offline -q "${SOAK_PACKAGES[@]}" >"$SOAK_LOG" 2>&1; then
             echo "soak FAILED on run $i of $SOAK; failing tests:" >&2
             if grep -q '^failures:$' "$SOAK_LOG"; then
                 sed -n '/^failures:$/,/^test result:/p' "$SOAK_LOG" >&2
