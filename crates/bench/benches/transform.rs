@@ -35,6 +35,24 @@ fn bench_schemes(c: &mut Criterion) {
             .unwrap()
         })
     });
+    g.bench_function("dynamic2_pprm5", |b| {
+        // A fixed 5-input function whose PPRM oracle has fifteen MCX terms,
+        // four of them MCX(4) and one MCX(5): the wide gates whose pairs
+        // the transform scheduler checks for commutation.
+        const TABLE: u32 = 0x9d2c_5680;
+        let oracle = TruthTable::from_bits((0..32).map(|x| TABLE >> x & 1 == 1).collect());
+        let dj = dj_circuit(&oracle);
+        let roles = QubitRoles::data_plus_answer(dj.num_qubits());
+        b.iter(|| {
+            transform_with_scheme(
+                &dj,
+                &roles,
+                DynamicScheme::Dynamic2,
+                &TransformOptions::default(),
+            )
+            .unwrap()
+        })
+    });
     g.bench_function("both_schemes_all_table2", |b| {
         b.iter_batched(
             toffoli_suite,

@@ -2,8 +2,9 @@
 //!
 //! Drives a service with pipelined submission bursts at twice its queue
 //! capacity and reports the operator-facing numbers: throughput, p50/p99
-//! job latency, cache hit rate, shed rate, and — the robustness
-//! invariant — dropped accepted jobs (always zero, or the run fails).
+//! job latency, cache hit and coalesced rates, shed rate, and — the
+//! robustness invariant — dropped accepted jobs (always zero, or the run
+//! fails).
 //!
 //! ```text
 //! service_load [--jobs N] [--burst N] [--workers N] [--queue N] [--shots N]
@@ -111,6 +112,10 @@ fn real_main() -> Result<String, String> {
     t.row(vec![
         "cache hit rate".into(),
         format!("{:.2}", stats.cache_hit_rate),
+    ]);
+    t.row(vec![
+        "coalesced rate".into(),
+        format!("{:.2}", stats.coalesced_rate),
     ]);
     t.row(vec![
         "shed rate at 2x".into(),
@@ -225,6 +230,10 @@ struct Stats {
     p50_ms: f64,
     p99_ms: f64,
     cache_hit_rate: f64,
+    /// Completed jobs that waited on another worker's transform of the
+    /// same circuit (`service.cache.coalesced`). The wire reports them as
+    /// `"hit"`, so this rate is a share of `cache_hit_rate`.
+    coalesced_rate: f64,
     shed_rate: f64,
     recovery: RecoveryStats,
 }
@@ -291,6 +300,7 @@ fn measure() -> Result<Stats, String> {
             server.pending()
         ));
     }
+    let coalesced = field_u64(&server.metrics_json(), "service.cache.coalesced").unwrap_or(0);
 
     let mut completed = 0u64;
     let mut rejected = 0u64;
@@ -328,6 +338,7 @@ fn measure() -> Result<Stats, String> {
         p50_ms: percentile(&latencies, 50.0),
         p99_ms: percentile(&latencies, 99.0),
         cache_hit_rate: hits as f64 / (completed as f64).max(1.0),
+        coalesced_rate: coalesced as f64 / (completed as f64).max(1.0),
         shed_rate: rejected as f64 / (submitted as f64).max(1.0),
         recovery,
     })
@@ -369,6 +380,8 @@ fn render(stats: &Stats) -> String {
     w.end_object();
     w.key("cache_hit_rate");
     w.float(stats.cache_hit_rate);
+    w.key("coalesced_rate");
+    w.float(stats.coalesced_rate);
     w.key("shed_rate_at_2x");
     w.float(stats.shed_rate);
     w.key("recovery");
@@ -532,6 +545,7 @@ fn check(path: &str) -> Result<String, String> {
     for key in [
         "\"jobs_per_sec\":",
         "\"cache_hit_rate\":",
+        "\"coalesced_rate\":",
         "\"shed_rate_at_2x\":",
         "\"p50\":",
         "\"p99\":",

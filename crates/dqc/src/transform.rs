@@ -22,7 +22,8 @@
 //! wires where the gate will still act **quantumly** (answer wires and
 //! not-yet-retired work qubits), and a subsequent gate may only be hoisted
 //! past a deferred one when they share no such wire or provably commute
-//! (exact matrix test).
+//! ([`gates_commute`]: decided from the operands for controlled X-powers,
+//! by an exact matrix test otherwise).
 //!
 //! At `k = 1`, constraints on the *control* side of a work-to-work gate are
 //! deliberately released — the control is read from its measurement result

@@ -1,13 +1,14 @@
-//! Commutation analysis between instructions.
+//! Commutation analysis between gates.
 //!
 //! The dynamic-circuit transformation replays gates out of their original
 //! order; doing so is only sound when the hoisted gate commutes with every
-//! deferred gate it passes. This module decides commutativity exactly, by
-//! comparing the two operator products on the union of the instructions'
-//! qubit supports.
+//! deferred gate it passes. This module decides commutativity exactly.
+//! Disjoint supports commute; two controlled powers of X (the CX, CV, CV†,
+//! CCX and MCX gates that Toffoli networks lower to) are decided from
+//! their operand lists; every other pair is decided by comparing the two
+//! operator products on the union of the gates' qubit supports.
 
 use crate::gate::Gate;
-use crate::instruction::{Instruction, OpKind};
 use crate::register::Qubit;
 /// Tolerance for the matrix commutation test.
 const COMMUTE_TOL: f64 = 1e-9;
@@ -15,8 +16,11 @@ const COMMUTE_TOL: f64 = 1e-9;
 /// Returns `true` when the two gates, applied to the given operand lists,
 /// commute as operators: `B·A == A·B`.
 ///
-/// Disjoint supports commute trivially; overlapping supports are decided by
-/// an exact matrix test on the (small) union of the supports.
+/// Disjoint supports commute trivially. Two controlled powers of X (see
+/// [`is_x_power_controlled`]) commute whenever neither gate's target is
+/// among the other's controls: controls act diagonally and powers of X
+/// commute with each other. Every other overlapping pair is decided by an
+/// exact matrix test on the (small) union of the supports.
 ///
 /// # Panics
 ///
@@ -44,9 +48,29 @@ pub fn gates_commute(a: &Gate, a_qubits: &[Qubit], b: &Gate, b_qubits: &[Qubit])
         b.num_qubits(),
         "operand count mismatch for {b}"
     );
-    if a_qubits.iter().all(|q| !b_qubits.contains(q)) {
-        return true;
+    a_qubits.iter().all(|q| !b_qubits.contains(q))
+        || x_powers_commute(a, a_qubits, b, b_qubits)
+        || matrix_commute(a, a_qubits, b, b_qubits)
+}
+
+/// The structural rule: `true` when both gates are controlled powers of X
+/// and neither gate's target is a control of the other. `false` means
+/// "not decided here", not "does not commute".
+fn x_powers_commute(a: &Gate, a_qubits: &[Qubit], b: &Gate, b_qubits: &[Qubit]) -> bool {
+    if !is_x_power_controlled(a) || !is_x_power_controlled(b) {
+        return false;
     }
+    match (a_qubits.split_last(), b_qubits.split_last()) {
+        (Some((a_target, a_controls)), Some((b_target, b_controls))) => {
+            !b_controls.contains(a_target) && !a_controls.contains(b_target)
+        }
+        _ => false,
+    }
+}
+
+/// The reference test: compares `B·A` with `A·B` as dense matrices on the
+/// union of the two supports.
+fn matrix_commute(a: &Gate, a_qubits: &[Qubit], b: &Gate, b_qubits: &[Qubit]) -> bool {
     // Union support, in deterministic order.
     let mut support: Vec<Qubit> = a_qubits.to_vec();
     for q in b_qubits {
@@ -65,40 +89,10 @@ pub fn gates_commute(a: &Gate, a_qubits: &[Qubit], b: &Gate, b_qubits: &[Qubit])
     ma.mul(&mb).approx_eq(&mb.mul(&ma), COMMUTE_TOL)
 }
 
-/// Returns `true` when two instructions can safely exchange order.
-///
-/// Gate/gate pairs defer to [`gates_commute`]. Any pair involving a
-/// measurement, reset, barrier or classically conditioned operation is
-/// treated conservatively: it commutes only when the instructions share no
-/// qubit wire and no classical bit.
-#[must_use]
-pub fn instructions_commute(a: &Instruction, b: &Instruction) -> bool {
-    let share_qubit = a.qubits().iter().any(|q| b.qubits().contains(q));
-    let a_cl: Vec<_> = a
-        .clbits_written()
-        .iter()
-        .copied()
-        .chain(a.clbits_read())
-        .collect();
-    let b_cl: Vec<_> = b
-        .clbits_written()
-        .iter()
-        .copied()
-        .chain(b.clbits_read())
-        .collect();
-    let share_clbit = a_cl.iter().any(|c| b_cl.contains(c));
-
-    match (a.kind(), b.kind()) {
-        (OpKind::Gate(ga), OpKind::Gate(gb)) if !a.is_conditioned() && !b.is_conditioned() => {
-            gates_commute(ga, a.qubits(), gb, b.qubits())
-        }
-        _ => !share_qubit && !share_clbit,
-    }
-}
-
-/// The CV-family on a common target: controlled powers of X all commute with
-/// each other. Exposed as a fast path for the transformation's scheduler and
-/// checked against the matrix test in this module's tests.
+/// Returns `true` for the controlled powers of X: CX, CV, CV†, CCX and
+/// MCX, whose operands are `[controls..., target]`. [`gates_commute`]
+/// decides a pair of them from their operands alone; the Toffoli
+/// lowerings of the paper's Eqn (3)/(4) consist of nothing else.
 #[must_use]
 pub fn is_x_power_controlled(gate: &Gate) -> bool {
     matches!(
@@ -110,8 +104,6 @@ pub fn is_x_power_controlled(gate: &Gate) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instruction::Condition;
-    use crate::register::Clbit;
 
     fn q(i: usize) -> Qubit {
         Qubit::new(i)
@@ -213,44 +205,108 @@ mod tests {
     }
 
     #[test]
-    fn instruction_gate_pairs_use_matrix_test() {
-        let a = Instruction::gate(Gate::Cx, vec![q(0), q(1)]);
-        let b = Instruction::gate(Gate::Cx, vec![q(0), q(2)]);
-        assert!(instructions_commute(&a, &b));
-        let c = Instruction::gate(Gate::H, vec![q(0)]);
-        assert!(!instructions_commute(&a, &c));
-    }
-
-    #[test]
-    fn measurement_blocks_same_qubit() {
-        let m = Instruction::measure(q(0), Clbit::new(0));
-        let g = Instruction::gate(Gate::H, vec![q(0)]);
-        assert!(!instructions_commute(&m, &g));
-        let far = Instruction::gate(Gate::H, vec![q(1)]);
-        assert!(instructions_commute(&m, &far));
-    }
-
-    #[test]
-    fn measurement_blocks_condition_on_same_bit() {
-        let m = Instruction::measure(q(0), Clbit::new(0));
-        let g =
-            Instruction::gate(Gate::X, vec![q(1)]).with_condition(Condition::bit(Clbit::new(0)));
-        assert!(!instructions_commute(&m, &g));
-    }
-
-    #[test]
-    fn conditioned_gates_are_conservative_even_when_matrices_commute() {
-        let a =
-            Instruction::gate(Gate::X, vec![q(0)]).with_condition(Condition::bit(Clbit::new(0)));
-        let b = Instruction::gate(Gate::V, vec![q(0)]);
-        // X and V commute as matrices, but the conditioned X is treated
-        // conservatively because its action depends on the classical state.
-        assert!(!instructions_commute(&a, &b));
-    }
-
-    #[test]
     #[should_panic(expected = "operand count mismatch")]
     fn arity_mismatch_panics() {
         let _ = gates_commute(&Gate::Cx, &[q(0)], &Gate::H, &[q(0)]);
+    }
+
+    /// Every ordered choice of `arity` distinct wires out of `0..wires`.
+    fn placements(arity: usize, wires: usize) -> Vec<Vec<Qubit>> {
+        if arity == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for prefix in placements(arity - 1, wires) {
+            for w in (0..wires).map(q).filter(|w| !prefix.contains(w)) {
+                let mut p = prefix.clone();
+                p.push(w);
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    /// Checks one pair against the matrix reference; returns whether the
+    /// structural rule decided it (supports overlap and the rule fired).
+    fn agrees_with_reference(a: &(Gate, Vec<Qubit>), b: &(Gate, Vec<Qubit>)) -> bool {
+        let ((ga, qa), (gb, qb)) = (a, b);
+        let reference = matrix_commute(ga, qa, gb, qb);
+        assert_eq!(
+            gates_commute(ga, qa, gb, qb),
+            reference,
+            "{ga} {qa:?} and {gb} {qb:?}"
+        );
+        qa.iter().any(|w| qb.contains(w)) && x_powers_commute(ga, qa, gb, qb)
+    }
+
+    #[test]
+    fn structural_rule_agrees_with_matrix_test_on_every_four_wire_pair() {
+        let gates = [
+            Gate::Cx,
+            Gate::Cv,
+            Gate::Cvdg,
+            Gate::Ccx,
+            Gate::Mcx(1),
+            Gate::Mcx(2),
+            Gate::Mcx(3),
+        ];
+        let all: Vec<(Gate, Vec<Qubit>)> = gates
+            .iter()
+            .flat_map(|g| {
+                placements(g.num_qubits(), 4)
+                    .into_iter()
+                    .map(|p| (g.clone(), p))
+            })
+            .collect();
+        assert_eq!(all.len(), 120);
+        let mut decided = 0;
+        for a in &all {
+            for b in &all {
+                decided += usize::from(agrees_with_reference(a, b));
+            }
+        }
+        assert!(decided > 0, "the structural rule never fired");
+    }
+
+    #[test]
+    fn structural_rule_agrees_with_matrix_test_on_sampled_six_wire_pairs() {
+        let gates = [
+            Gate::Cx,
+            Gate::Cv,
+            Gate::Cvdg,
+            Gate::Ccx,
+            Gate::Mcx(3),
+            Gate::Mcx(4),
+            Gate::Mcx(5),
+        ];
+        // SplitMix64, seeded: the same sample on every platform.
+        let mut state = 0x00c0_ffee_u64;
+        let mut next = |n: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut draw = || {
+            let gate = gates[next(gates.len())].clone();
+            let mut wires: Vec<Qubit> = (0..6).map(q).collect();
+            for i in (1..wires.len()).rev() {
+                wires.swap(i, next(i + 1));
+            }
+            wires.truncate(gate.num_qubits());
+            (gate, wires)
+        };
+        let (mut decided, mut widest) = (0, [false; 2]);
+        for _ in 0..240 {
+            let (a, b) = (draw(), draw());
+            for (g, _) in [&a, &b] {
+                widest[0] |= *g == Gate::Mcx(4);
+                widest[1] |= *g == Gate::Mcx(5);
+            }
+            decided += usize::from(agrees_with_reference(&a, &b));
+        }
+        assert_eq!(widest, [true; 2], "the sample must pair MCX(4) and MCX(5)");
+        assert!(decided > 0, "the structural rule never fired");
     }
 }
