@@ -90,9 +90,11 @@ fn matrix_commute(a: &Gate, a_qubits: &[Qubit], b: &Gate, b_qubits: &[Qubit]) ->
 }
 
 /// Returns `true` for the controlled powers of X: CX, CV, CV†, CCX and
-/// MCX, whose operands are `[controls..., target]`. [`gates_commute`]
-/// decides a pair of them from their operands alone; the Toffoli
-/// lowerings of the paper's Eqn (3)/(4) consist of nothing else.
+/// MCX, whose operands are `[controls..., target]`. Two of them commute
+/// when neither gate's target is a control of the other, which
+/// [`gates_commute`] checks before any matrix test. The CV/CV†/CX
+/// networks that both dynamic schemes lower Toffolis to (the paper's
+/// Eqn 1–4) consist of nothing else.
 #[must_use]
 pub fn is_x_power_controlled(gate: &Gate) -> bool {
     matches!(

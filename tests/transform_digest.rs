@@ -46,27 +46,20 @@ impl Fnv1a {
     }
 }
 
-/// SplitMix64: the same stream on every platform and toolchain.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 fn corpus() -> Vec<(String, Circuit, QubitRoles)> {
     let mut out: Vec<_> = toffoli_free_suite()
         .into_iter()
         .chain(toffoli_suite())
         .map(|b| (b.name, b.circuit, b.roles))
         .collect();
-    let mut state = ORACLE_SEED;
+    // Consecutive SplitMix64 outputs: the same bits on every platform.
+    let mut drawn = 0;
     for i in 0..ORACLES {
         let inputs = 4 + i % 2;
-        let bits = (0..1usize << inputs)
-            .map(|_| splitmix64(&mut state) & 1 == 1)
+        let bits = (drawn..drawn + (1 << inputs))
+            .map(|k| rand::stream_seed(ORACLE_SEED, k) & 1 == 1)
             .collect();
+        drawn += 1 << inputs;
         out.push((
             format!("oracle-{i}"),
             dj_circuit(&TruthTable::from_bits(bits)),
