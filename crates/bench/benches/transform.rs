@@ -36,9 +36,9 @@ fn bench_schemes(c: &mut Criterion) {
         })
     });
     g.bench_function("dynamic2_pprm5", |b| {
-        // A fixed 5-input function whose PPRM oracle has fifteen MCX terms,
-        // four of them MCX(4) and one MCX(5): the wide gates whose pairs
-        // the transform scheduler checks for commutation.
+        // A fixed 5-input function whose PPRM oracle is five CCX, five
+        // MCX(3), four MCX(4) and one MCX(5) on a common target: the wide
+        // gates whose pairs the transform scheduler checks for commutation.
         const TABLE: u32 = 0x9d2c_5680;
         let oracle = TruthTable::from_bits((0..32).map(|x| TABLE >> x & 1 == 1).collect());
         let dj = dj_circuit(&oracle);
