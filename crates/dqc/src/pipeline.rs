@@ -201,18 +201,14 @@ impl Pipeline {
             }
             report
         };
-        let (traditional, resources, fusion) = {
+        let (traditional, resources) = {
             let _span = obs.span("pipeline.account");
             if let Some(t) = phases.as_mut() {
                 t.begin("pipeline.account");
             }
-            // Fusion accounting: how much of the dynamic circuit the prefix
-            // shot engine can collapse into single matrices before sampling.
-            let fusion = qcir::fuse(dynamic.circuit()).stats();
             let summaries = (
                 ResourceSummary::of_circuit(circuit),
                 ResourceSummary::of_dynamic(&dynamic),
-                fusion,
             );
             if let Some(t) = phases.as_mut() {
                 t.end();
@@ -224,8 +220,6 @@ impl Pipeline {
         }
         obs.counter_add("pipeline.runs", 1);
         obs.gauge_set("pipeline.last_tvd", report.tvd);
-        obs.gauge_set("pipeline.fusion_blocks", fusion.blocks as f64);
-        obs.gauge_set("pipeline.fusion_gates_fused", fusion.gates_fused as f64);
         obs.event(
             "pipeline.result",
             &[
@@ -245,7 +239,6 @@ impl Pipeline {
             traditional,
             resources,
             reuse,
-            fusion,
         })
     }
 }
@@ -265,9 +258,6 @@ pub struct PipelineResult {
     pub resources: ResourceSummary,
     /// The reuse planner's report, when [`Pipeline::reuse`] was set.
     pub reuse: Option<ReuseReport>,
-    /// Gate-fusion statistics of the dynamic circuit: how many adjacent
-    /// unitary runs the prefix shot engine collapses into single matrices.
-    pub fusion: qcir::FusionStats,
 }
 
 impl PipelineResult {
@@ -355,28 +345,6 @@ mod tests {
             .run(&dj_and(), &roles)
             .unwrap();
         assert_eq!(result.resources.resets, 3); // 3 iterations, all reset
-    }
-
-    #[test]
-    fn pipeline_accounts_gate_fusion_of_the_dynamic_circuit() {
-        let obs = qobs::Observer::metrics_only();
-        let result = Pipeline::new()
-            .observer(obs.clone())
-            .run(&dj_and(), &QubitRoles::data_plus_answer(3))
-            .unwrap();
-        // The dynamic realization interleaves unitary runs with measure /
-        // reset, so fusion finds at least one multi-gate block.
-        assert!(result.fusion.blocks > 0, "{:?}", result.fusion);
-        assert!(result.fusion.gates_fused >= 2 * result.fusion.blocks);
-        let m = obs.metrics();
-        assert_eq!(
-            m.gauge("pipeline.fusion_blocks"),
-            Some(result.fusion.blocks as f64)
-        );
-        assert_eq!(
-            m.gauge("pipeline.fusion_gates_fused"),
-            Some(result.fusion.gates_fused as f64)
-        );
     }
 
     #[test]

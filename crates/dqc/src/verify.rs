@@ -10,7 +10,7 @@
 use crate::roles::QubitRoles;
 use crate::transform::DynamicCircuit;
 use qcir::{Circuit, Clbit};
-use qobs::Observer;
+use qobs::{Observer, SpanGuard};
 use qsim::branch::exact_distribution;
 use qsim::Distribution;
 use std::fmt;
@@ -108,21 +108,7 @@ pub fn compare_observed(
     let mut span = obs.span("verify.equivalence");
     let traditional = traditional_distribution(circuit, roles);
     let dyn_dist = dynamic_distribution(dynamic);
-    let tvd = traditional.tvd(&dyn_dist);
-    span.field("tvd", tvd);
-    span.field("traditional_outcomes", traditional.len());
-    span.field("dynamic_outcomes", dyn_dist.len());
-    let expected = traditional.argmax().unwrap_or_default().to_string();
-    let p_traditional = traditional.get(&expected);
-    let p_dynamic = dyn_dist.get(&expected);
-    EquivalenceReport {
-        traditional,
-        dynamic: dyn_dist,
-        tvd,
-        expected_outcome: expected,
-        p_traditional,
-        p_dynamic,
-    }
+    report(traditional, dyn_dist, &mut span)
 }
 
 /// Compares while additionally measuring the given *answer* qubits on both
@@ -168,21 +154,28 @@ pub fn compare_with_answers_observed(
         dyn_measured.measure(a, Clbit::new(n_data + i));
     }
     let dyn_dist = exact_distribution(&dyn_measured);
+    report(traditional, dyn_dist, &mut span)
+}
 
-    let tvd = traditional.tvd(&dyn_dist);
+/// Assembles the report of one comparison and records its TVD and both
+/// outcome counts on the `verify.equivalence` span.
+fn report(
+    traditional: Distribution,
+    dynamic: Distribution,
+    span: &mut SpanGuard<'_>,
+) -> EquivalenceReport {
+    let tvd = traditional.tvd(&dynamic);
     span.field("tvd", tvd);
     span.field("traditional_outcomes", traditional.len());
-    span.field("dynamic_outcomes", dyn_dist.len());
-    let expected = traditional.argmax().unwrap_or_default().to_string();
-    let p_traditional = traditional.get(&expected);
-    let p_dynamic = dyn_dist.get(&expected);
+    span.field("dynamic_outcomes", dynamic.len());
+    let expected_outcome = traditional.argmax().unwrap_or_default().to_string();
     EquivalenceReport {
+        p_traditional: traditional.get(&expected_outcome),
+        p_dynamic: dynamic.get(&expected_outcome),
         traditional,
-        dynamic: dyn_dist,
+        dynamic,
         tvd,
-        expected_outcome: expected,
-        p_traditional,
-        p_dynamic,
+        expected_outcome,
     }
 }
 

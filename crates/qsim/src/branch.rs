@@ -7,19 +7,26 @@
 //! distributions with **no shot noise**, which is what lets the test suite
 //! assert exact functional equivalence between a traditional circuit and its
 //! dynamic transformation.
+//!
+//! The enumeration is the prefix engine's branch tree ([`crate::prefix`])
+//! built under ideal noise and without its node budget. Each outcome's
+//! weight is therefore the product of the same
+//! [`StateVector::measure_prob_one`](crate::StateVector::measure_prob_one)
+//! values the shot engines draw against. A branch whose probability is at
+//! most [`BRANCH_EPS`] is dropped, and the survivors are renormalized.
 
-use crate::counts::{bitstring, Distribution};
-use crate::statevector::StateVector;
-use qcir::{Circuit, OpKind};
-
-/// Probability below which a branch is abandoned as numerically impossible.
-const BRANCH_EPS: f64 = 1e-14;
+use crate::counts::Distribution;
+use crate::noise::NoiseModel;
+use crate::prefix::{PrefixTree, BRANCH_EPS};
+use qcir::Circuit;
 
 /// Computes the exact distribution over classical-register outcomes of a
 /// (possibly dynamic) circuit, assuming ideal (noise-free) execution.
 ///
 /// Keys are bitstrings with classical bit `n-1` leftmost, matching
-/// [`crate::Executor::run`].
+/// [`crate::Executor::run`]. A circuit whose branch probabilities turn
+/// non-finite (a NaN gate angle, say) has no distribution: the result is
+/// empty.
 ///
 /// # Examples
 ///
@@ -35,78 +42,12 @@ const BRANCH_EPS: f64 = 1e-14;
 /// ```
 #[must_use]
 pub fn exact_distribution(circuit: &Circuit) -> Distribution {
-    let mut dist = Distribution::new();
-    let state = StateVector::zero_state(circuit.num_qubits());
-    let classical = vec![false; circuit.num_clbits()];
-    explore(circuit, 0, state, classical, 1.0, &mut dist);
+    let Some(tree) = PrefixTree::grow(circuit, &NoiseModel::ideal(), usize::MAX, || false) else {
+        return Distribution::new();
+    };
+    let mut dist = tree.leaf_distribution();
     dist.prune(BRANCH_EPS);
     dist
-}
-
-fn explore(
-    circuit: &Circuit,
-    start: usize,
-    mut state: StateVector,
-    mut classical: Vec<bool>,
-    weight: f64,
-    dist: &mut Distribution,
-) {
-    let insts = circuit.instructions();
-    let mut idx = start;
-    while idx < insts.len() {
-        let inst = &insts[idx];
-        if let Some(cond) = inst.condition() {
-            if !cond.evaluate(&classical) {
-                idx += 1;
-                continue;
-            }
-        }
-        match inst.kind() {
-            OpKind::Barrier => {}
-            OpKind::Gate(g) => {
-                let qubits: Vec<usize> = inst.qubits().iter().map(|q| q.index()).collect();
-                state.apply_gate(g, &qubits);
-            }
-            OpKind::Measure => {
-                let q = inst.qubits()[0].index();
-                let cbit = inst.clbits()[0].index();
-                let p1 = state.prob_one(q);
-                // Branch: outcome 1.
-                if p1 > BRANCH_EPS {
-                    let mut s1 = state.clone();
-                    s1.project(q, true);
-                    let mut c1 = classical.clone();
-                    c1[cbit] = true;
-                    explore(circuit, idx + 1, s1, c1, weight * p1, dist);
-                }
-                // Continue in place with outcome 0.
-                let p0 = 1.0 - p1;
-                if p0 <= BRANCH_EPS {
-                    return;
-                }
-                state.project(q, false);
-                classical[cbit] = false;
-                return explore(circuit, idx + 1, state, classical, weight * p0, dist);
-            }
-            OpKind::Reset => {
-                let q = inst.qubits()[0].index();
-                let p1 = state.prob_one(q);
-                if p1 > BRANCH_EPS {
-                    let mut s1 = state.clone();
-                    s1.reset_branch(q, true);
-                    explore(circuit, idx + 1, s1, classical.clone(), weight * p1, dist);
-                }
-                let p0 = 1.0 - p1;
-                if p0 <= BRANCH_EPS {
-                    return;
-                }
-                state.reset_branch(q, false);
-                return explore(circuit, idx + 1, state, classical, weight * p0, dist);
-            }
-        }
-        idx += 1;
-    }
-    dist.add(bitstring(&classical), weight);
 }
 
 /// Computes the exact *joint* distribution of the classical register **and**
@@ -135,6 +76,7 @@ pub fn exact_distribution_with_final_measure(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StateVector;
     use qcir::{Clbit, Qubit};
 
     fn q(i: usize) -> Qubit {
@@ -255,6 +197,45 @@ mod tests {
         // rounding — not merely up to accumulated BRANCH_EPS dust.
         assert!((d.total() - 1.0).abs() < 1e-12, "total = {}", d.total());
         assert_eq!(d.len(), 16);
+    }
+
+    #[test]
+    fn enumeration_is_not_bounded_by_the_engine_node_budget() {
+        // 15 fair measurements: 2^15 leaves plus 2^15 - 1 decision nodes.
+        let mut circ = Circuit::new(1, 15);
+        for i in 0..15 {
+            circ.h(q(0)).measure(q(0), c(i));
+        }
+        assert!(PrefixTree::build(&circ, &NoiseModel::ideal()).is_none());
+        let d = exact_distribution(&circ);
+        assert_eq!(d.len(), 1 << 15);
+        let uniform = 1.0 / f64::from(1 << 15);
+        for (key, p) in d.iter() {
+            assert!((p / uniform - 1.0).abs() < 1e-12, "{key}: {p}");
+        }
+    }
+
+    #[test]
+    fn a_branch_at_most_branch_eps_is_dropped() {
+        // Outcome 1 has probability 1e-13: above the 1e-14 cutoff this
+        // module once had of its own, below the one shared BRANCH_EPS.
+        let theta = 2.0 * (1e-13f64).sqrt().asin();
+        let mut sv = StateVector::zero_state(1);
+        sv.apply_gate(&qcir::Gate::Ry(theta), &[0]);
+        let p1 = sv.measure_prob_one(0);
+        assert!(p1 > 1e-14 && p1 < BRANCH_EPS, "p1 = {p1}");
+        let mut circ = Circuit::new(1, 1);
+        circ.ry(theta, q(0)).measure(q(0), c(0));
+        let d = exact_distribution(&circ);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d.get("0"), 1.0);
+    }
+
+    #[test]
+    fn a_nan_angle_enumerates_to_an_empty_distribution() {
+        let mut circ = Circuit::new(1, 1);
+        circ.rx(f64::NAN, q(0)).measure(q(0), c(0));
+        assert!(exact_distribution(&circ).is_empty());
     }
 
     #[test]

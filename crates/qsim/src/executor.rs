@@ -1179,10 +1179,9 @@ impl Executor {
     }
 
     /// Adds the prefix engine's structural counters to the observer: tree
-    /// shape (`prefix.nodes` / `prefix.leaves` / `prefix.pruned_branches`),
-    /// what gate fusion achieved (`prefix.fused_blocks` /
-    /// `prefix.fused_gates`), and how many shots bailed to a per-shot
-    /// replay (`prefix.shots_replayed`). All are pure functions of
+    /// shape (`prefix.nodes` / `prefix.leaves` / `prefix.pruned_branches`)
+    /// and how many shots bailed to a per-shot replay
+    /// (`prefix.shots_replayed`). All are pure functions of
     /// `(circuit, noise, seed, shots)`, so they are bit-identical across
     /// thread counts like every other counter.
     fn flush_prefix_stats(&self, tree: &PrefixTree, replayed: u64) {
@@ -1191,9 +1190,6 @@ impl Executor {
         obs.counter_add("prefix.leaves", tree.num_leaves() as u64);
         obs.counter_add("prefix.pruned_branches", tree.num_pruned());
         obs.counter_add("prefix.shots_replayed", replayed);
-        let fusion = tree.fusion_stats();
-        obs.counter_add("prefix.fused_blocks", fusion.blocks as u64);
-        obs.counter_add("prefix.fused_gates", fusion.gates_fused as u64);
     }
 
     /// Adds the run's tally to the observer's registry (one lock
@@ -1772,9 +1768,6 @@ mod tests {
         assert!(m.counter("prefix.nodes").unwrap_or(0) > 0);
         assert!(m.counter("prefix.leaves").unwrap_or(0) >= 2);
         assert_eq!(m.counter("prefix.shots_replayed"), Some(0));
-        // dynamic_test_circuit has no fusable adjacent run of >= 2 gates
-        // sharing support, so fusion counters exist but may be zero.
-        assert!(m.counter("prefix.fused_blocks").is_some());
     }
 
     #[test]
@@ -2856,13 +2849,11 @@ mod tests {
             "executor.shots_discarded",
             "executor.drift_renormalized",
         ];
-        const TREE_ONLY: [&str; 6] = [
+        const TREE_ONLY: [&str; 4] = [
             "prefix.nodes",
             "prefix.leaves",
             "prefix.pruned_branches",
             "prefix.shots_replayed",
-            "prefix.fused_blocks",
-            "prefix.fused_gates",
         ];
         let circ = dynamic_test_circuit();
         for entry in ["run", "run_memory", "run_resilient"] {

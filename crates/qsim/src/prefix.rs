@@ -26,14 +26,15 @@
 //! executor, making the outcome sequence — and hence counts, memory rows
 //! and tally counters — bit-identical by construction.
 //!
-//! Segments between branch points are evolved through the [`qcir::fuse`]
-//! lowering: runs of adjacent small gates become single
-//! [`StateVector::apply_matrix`] sweeps, while single gates pass through
-//! the specialized `apply_gate` fast paths (bit-identical float ops to the
-//! per-shot executor). Fusing a run reorders its floating-point operations,
-//! which can move a downstream branch probability by an ulp; an outcome
-//! only flips when a shot's uniform draw lands inside that ulp-wide window,
-//! which the fixed-seed differential suite would surface deterministically.
+//! Segments between branch points are evolved gate by gate with the same
+//! [`StateVector::apply_gate`], [`StateVector::measure_prob_one`] and
+//! [`StateVector::project`] calls, in the same order, as the per-shot
+//! loop, so every node probability is the per-shot probability bit for
+//! bit.
+//!
+//! Built under ideal noise and without the node budget, the same tree is
+//! the exact enumeration of a circuit's outcomes:
+//! [`crate::branch::exact_distribution`] is its leaf distribution.
 //!
 //! # Fallbacks
 //!
@@ -55,11 +56,12 @@ use crate::counts::Distribution;
 use crate::executor::RunTally;
 use crate::noise::NoiseModel;
 use crate::statevector::StateVector;
-use qcir::{fuse, Circuit, FusedOp, FusionStats, OpKind};
+use qcir::{Circuit, OpKind};
 use rand::Rng;
 
 /// Edge probability below which a branch is not expanded: walks that land
-/// on it replay their shot on the per-shot path instead. Leaf weights of an
+/// on it replay their shot on the per-shot path instead, and
+/// [`crate::branch::exact_distribution`] drops it. Leaf weights of an
 /// unpruned tree sum to 1 within this epsilon.
 pub const BRANCH_EPS: f64 = 1e-12;
 
@@ -111,7 +113,6 @@ pub struct PrefixTree {
     leaves: Vec<Leaf>,
     root: NodeRef,
     pruned: u64,
-    fusion: FusionStats,
 }
 
 /// Whether `noise` keeps a run tree-eligible: gate and idle channels draw
@@ -147,16 +148,25 @@ impl PrefixTree {
         noise: &NoiseModel,
         poll: impl FnMut() -> bool,
     ) -> Option<PrefixTree> {
-        let program = fuse(circuit);
-        let mut poll = poll;
+        Self::grow(circuit, noise, MAX_TREE_NODES, poll)
+    }
+
+    /// Builds the tree with at most `max_nodes` nodes: the engine passes
+    /// [`MAX_TREE_NODES`], the exact enumeration `usize::MAX`.
+    pub(crate) fn grow(
+        circuit: &Circuit,
+        noise: &NoiseModel,
+        max_nodes: usize,
+        mut poll: impl FnMut() -> bool,
+    ) -> Option<PrefixTree> {
         let mut builder = Builder {
             circuit,
-            ops: program.ops(),
             noise,
             mid: crate::executor::mid_measure_flags(circuit),
             nodes: Vec::new(),
             leaves: Vec::new(),
             pruned: 0,
+            max_nodes,
             poll: &mut poll,
         };
         let state = StateVector::zero_state(circuit.num_qubits());
@@ -169,7 +179,6 @@ impl PrefixTree {
             leaves: builder.leaves,
             root,
             pruned: builder.pruned,
-            fusion: program.stats(),
         })
     }
 
@@ -224,13 +233,9 @@ impl PrefixTree {
         self.pruned
     }
 
-    /// What gate fusion achieved on the underlying circuit.
-    pub fn fusion_stats(&self) -> FusionStats {
-        self.fusion
-    }
-
-    /// The leaf weight distribution keyed by classical bitstring, for
-    /// tests: with no pruning the weights sum to 1 within [`BRANCH_EPS`].
+    /// The leaf weight distribution keyed by classical bitstring: each
+    /// weight is the product of the probabilities along its path. With no
+    /// pruning the weights sum to 1 within [`BRANCH_EPS`].
     pub fn leaf_distribution(&self) -> Distribution {
         let mut dist = Distribution::new();
         for leaf in &self.leaves {
@@ -246,12 +251,13 @@ struct Abort;
 
 struct Builder<'a> {
     circuit: &'a Circuit,
-    ops: &'a [FusedOp],
     noise: &'a NoiseModel,
     mid: Vec<bool>,
     nodes: Vec<DrawNode>,
     leaves: Vec<Leaf>,
     pruned: u64,
+    /// Node budget (decision nodes + leaves); exceeding it aborts.
+    max_nodes: usize,
     /// Cooperative interruption check, consulted once per stochastic
     /// branch node; `true` aborts the build (see
     /// [`PrefixTree::build_polled`]).
@@ -259,55 +265,40 @@ struct Builder<'a> {
 }
 
 impl Builder<'_> {
-    /// Evolves the deterministic segment starting at `op` and recurses into
-    /// both children of the first stochastic event, returning the subtree
-    /// root.
+    /// Evolves the deterministic segment starting at instruction `start`
+    /// and recurses into both children of the first stochastic event,
+    /// returning the subtree root.
     fn explore(
         &mut self,
-        op: usize,
+        start: usize,
         mut state: StateVector,
         classical: Vec<bool>,
         weight: f64,
         mut tally: RunTally,
     ) -> Result<NodeRef, Abort> {
-        let insts = self.circuit.instructions();
-        let mut i = op;
-        while i < self.ops.len() {
-            match &self.ops[i] {
-                FusedOp::Block(block) => {
-                    state.apply_matrix(&block.matrix, &block.qubits);
-                    for name in &block.gate_names {
-                        *tally.gates.entry(name).or_insert(0) += 1;
-                    }
+        let circuit = self.circuit;
+        for (idx, inst) in circuit.instructions().iter().enumerate().skip(start) {
+            if let Some(cond) = inst.condition() {
+                if !cond.evaluate(&classical) {
+                    tally.cc_skipped += 1;
+                    continue;
                 }
-                FusedOp::Passthrough(idx) => {
-                    let inst = &insts[*idx];
-                    if let Some(cond) = inst.condition() {
-                        if !cond.evaluate(&classical) {
-                            tally.cc_skipped += 1;
-                            i += 1;
-                            continue;
-                        }
-                        tally.cc_fired += 1;
-                    }
-                    match inst.kind() {
-                        OpKind::Barrier => {}
-                        OpKind::Gate(g) => {
-                            let qubits: Vec<usize> =
-                                inst.qubits().iter().map(|q| q.index()).collect();
-                            state.apply_gate(g, &qubits);
-                            *tally.gates.entry(g.name()).or_insert(0) += 1;
-                        }
-                        OpKind::Measure => {
-                            return self.measure_event(i, *idx, state, classical, weight, tally);
-                        }
-                        OpKind::Reset => {
-                            return self.reset_event(i, *idx, state, classical, weight, tally);
-                        }
-                    }
+                tally.cc_fired += 1;
+            }
+            match inst.kind() {
+                OpKind::Barrier => {}
+                OpKind::Gate(g) => {
+                    let qubits: Vec<usize> = inst.qubits().iter().map(|q| q.index()).collect();
+                    state.apply_gate(g, &qubits);
+                    *tally.gates.entry(g.name()).or_insert(0) += 1;
+                }
+                OpKind::Measure => {
+                    return self.measure_event(idx, state, classical, weight, tally);
+                }
+                OpKind::Reset => {
+                    return self.reset_event(idx, state, classical, weight, tally);
                 }
             }
-            i += 1;
         }
         self.push_leaf(classical, weight, tally)
     }
@@ -316,7 +307,6 @@ impl Builder<'_> {
     /// then (with positive `readout_flip`) one flip draw per outcome.
     fn measure_event(
         &mut self,
-        op: usize,
         idx: usize,
         state: StateVector,
         classical: Vec<bool>,
@@ -338,7 +328,7 @@ impl Builder<'_> {
             tally.mid_measurements += 1;
         }
         let on_false = self.outcome_child(
-            op,
+            idx,
             state.clone(),
             classical.clone(),
             weight * (1.0 - p),
@@ -351,7 +341,7 @@ impl Builder<'_> {
             Followup::ReadoutFlip(cbit),
         )?;
         let on_true = self.outcome_child(
-            op,
+            idx,
             state,
             classical,
             weight * p,
@@ -370,7 +360,6 @@ impl Builder<'_> {
     /// (with positive `reset_error`) one error draw per outcome.
     fn reset_event(
         &mut self,
-        op: usize,
         idx: usize,
         state: StateVector,
         classical: Vec<bool>,
@@ -388,7 +377,7 @@ impl Builder<'_> {
         }
         tally.resets += 1;
         let on_false = self.outcome_child(
-            op,
+            idx,
             state.clone(),
             classical.clone(),
             weight * (1.0 - p),
@@ -400,7 +389,7 @@ impl Builder<'_> {
             Followup::ResetError(q),
         )?;
         let on_true = self.outcome_child(
-            op,
+            idx,
             state,
             classical,
             weight * p,
@@ -424,7 +413,7 @@ impl Builder<'_> {
     #[allow(clippy::too_many_arguments)]
     fn outcome_child(
         &mut self,
-        op: usize,
+        idx: usize,
         mut state: StateVector,
         mut classical: Vec<bool>,
         weight: f64,
@@ -446,7 +435,7 @@ impl Builder<'_> {
             Followup::ResetError(_) => self.noise.reset_error,
         };
         if noise_p <= 0.0 {
-            return self.explore(op + 1, state, classical, weight, tally);
+            return self.explore(idx + 1, state, classical, weight, tally);
         }
         // The per-shot path draws `gen_bool(noise_p)` on every outcome, so
         // the tree needs the node even when one side is (near-)impossible.
@@ -455,7 +444,7 @@ impl Builder<'_> {
             NodeRef::Bail
         } else {
             self.explore(
-                op + 1,
+                idx + 1,
                 state.clone(),
                 classical.clone(),
                 weight * (1.0 - noise_p),
@@ -470,13 +459,13 @@ impl Builder<'_> {
                 Followup::ReadoutFlip(cbit) => classical[cbit] = !classical[cbit],
                 Followup::ResetError(q) => state.apply_gate(&qcir::Gate::X, &[q]),
             }
-            self.explore(op + 1, state, classical, weight * noise_p, tally)?
+            self.explore(idx + 1, state, classical, weight * noise_p, tally)?
         };
         self.push_node(noise_p, on_false, on_true)
     }
 
     fn push_node(&mut self, p: f64, on_false: NodeRef, on_true: NodeRef) -> Result<NodeRef, Abort> {
-        if self.nodes.len() + self.leaves.len() >= MAX_TREE_NODES {
+        if self.nodes.len() + self.leaves.len() >= self.max_nodes {
             return Err(Abort);
         }
         self.nodes.push(DrawNode {
@@ -493,7 +482,7 @@ impl Builder<'_> {
         weight: f64,
         tally: RunTally,
     ) -> Result<NodeRef, Abort> {
-        if self.nodes.len() + self.leaves.len() >= MAX_TREE_NODES {
+        if self.nodes.len() + self.leaves.len() >= self.max_nodes {
             return Err(Abort);
         }
         self.leaves.push(Leaf {
@@ -512,4 +501,37 @@ enum Followup {
     ReadoutFlip(usize),
     /// `reset_error`: on `true`, applies X to this qubit.
     ResetError(usize),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qcir::{Clbit, Gate, Qubit};
+
+    #[test]
+    fn leaf_weights_are_products_of_per_shot_probabilities_bit_for_bit() {
+        // Fusing each `h t h` run into one matrix rounds differently from
+        // applying the three gates, so the weights would differ in an ulp.
+        let (q, c) = (Qubit::new(0), Clbit::new);
+        let mut circ = Circuit::new(1, 2);
+        circ.h(q).t(q).h(q).measure(q, c(0));
+        circ.h(q).t(q).h(q).measure(q, c(1));
+        let tree = PrefixTree::build(&circ, &NoiseModel::ideal()).expect("the tree builds");
+        let dist = tree.leaf_distribution();
+        assert_eq!(dist.len(), 4);
+        for (first, second) in [(false, false), (false, true), (true, false), (true, true)] {
+            let mut state = StateVector::zero_state(1);
+            let mut weight = 1.0;
+            for outcome in [first, second] {
+                for gate in [Gate::H, Gate::T, Gate::H] {
+                    state.apply_gate(&gate, &[0]);
+                }
+                let p = state.measure_prob_one(0);
+                weight *= if outcome { p } else { 1.0 - p };
+                state.project(0, outcome);
+            }
+            let key = crate::counts::bitstring(&[first, second]);
+            assert_eq!(dist.get(&key).to_bits(), weight.to_bits(), "{key}");
+        }
+    }
 }

@@ -337,16 +337,6 @@ impl StateVector {
         }
     }
 
-    /// Deterministic variant of reset for branch enumeration: projects onto
-    /// `outcome` and maps it to `|0>`; returns the branch probability.
-    pub fn reset_branch(&mut self, qubit: usize, outcome: bool) -> f64 {
-        let p = self.project(qubit, outcome);
-        if p > 0.0 && outcome {
-            self.apply_gate(&qcir::Gate::X, &[qubit]);
-        }
-        p
-    }
-
     /// The probability of each computational basis state.
     #[must_use]
     pub fn probabilities(&self) -> Vec<f64> {
@@ -687,15 +677,6 @@ mod tests {
             sv.reset(0, &mut r);
             assert!((sv.prob_one(0)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn reset_branch_reports_probability() {
-        let mut sv = StateVector::zero_state(1);
-        sv.apply_gate(&Gate::H, &[0]);
-        let p = sv.reset_branch(0, true);
-        assert!((p - 0.5).abs() < 1e-12);
-        assert!(sv.prob_one(0) < 1e-12);
     }
 
     #[test]

@@ -82,6 +82,10 @@ if [ "$FAST" -eq 0 ]; then
     run cargo build --release --offline
 fi
 run cargo test --workspace --offline -q
+# The service benchmark is its own crate outside the workspace, built from
+# these libraries: a library change that breaks it fails here, not in the
+# benchmark run. It shares the benchmark's build directory.
+run cargo check --offline --manifest-path perfbench/Cargo.toml --target-dir .bench_build
 
 # Determinism gate: a fixed-seed simulation must produce bit-identical
 # counters at every worker count. The circuit has a Toffoli, so the

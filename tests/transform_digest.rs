@@ -1,4 +1,5 @@
-//! Pins the dynamic transformation's output byte for byte.
+//! Pins the dynamic transformation's output byte for byte, and the shot
+//! engine's counts on it.
 //!
 //! The corpus is the paper's two suites plus 200 seeded PPRM oracles
 //! (`TruthTable::from_bits` → `dj_circuit`, 4–5 inputs), each transformed
@@ -11,6 +12,13 @@
 //! the scheduler decides commutation) must leave the digest alone. A change
 //! that alters emitted circuits on purpose updates [`EXPECTED`] and says
 //! why.
+//!
+//! The second digest, [`EXPECTED_COUNTS`], runs every `k = 1` transform
+//! through `Executor::run_resilient` configured as `dqctd` configures it
+//! (one thread, a deadline, a cancel token, a heartbeat), ideal and with
+//! readout/reset errors, and hashes the counts. A metrics-only observer,
+//! which changes no count, shows that the tree engine served most runs.
+//! A change to how the engines evolve or sample must leave it alone.
 
 use dqc::{
     plan_with_scheme, transform_with_scheme, CostModel, DynamicScheme, QubitRoles, ReuseMode,
@@ -20,10 +28,18 @@ use qalgo::suites::{toffoli_free_suite, toffoli_suite};
 use qalgo::{dj_circuit, TruthTable};
 use qcir::qasm::to_qasm;
 use qcir::Circuit;
+use qsim::{CancelToken, Executor, NoiseModel};
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// The digest of the corpus's transforms, computed at commit a0deb02,
 /// where every overlapping pair of gates still took the matrix test.
 const EXPECTED: u64 = 0x32be_e20b_089d_3467;
+
+/// The digest of the corpus's counts, computed at commit 10d5fb0, where
+/// the prefix engine still evolved its tree through fused gate blocks.
+const EXPECTED_COUNTS: u64 = 0xcbf6_1113_5e3a_8575;
 
 /// Seed of the oracle truth tables.
 const ORACLE_SEED: u64 = 0x7f4a_d16e_57ad_0001;
@@ -98,6 +114,61 @@ fn transform_output_matches_the_pinned_digest() {
     assert_eq!(
         digest.0, EXPECTED,
         "transform output changed over {runs} runs: digest {:#018x}",
+        digest.0
+    );
+}
+
+#[test]
+fn engine_counts_match_the_pinned_digest() {
+    let options = TransformOptions::default();
+    let noisy = NoiseModel {
+        readout_flip: 0.02,
+        reset_error: 0.01,
+        ..NoiseModel::ideal()
+    };
+    let mut digest = Fnv1a::new();
+    let (mut runs, mut tree_runs) = (0, 0);
+    for (index, (name, circuit, roles)) in corpus().into_iter().enumerate() {
+        for scheme in [DynamicScheme::Dynamic1, DynamicScheme::Dynamic2] {
+            let dynamic = match transform_with_scheme(&circuit, &roles, scheme, &options) {
+                Ok(dynamic) => dynamic,
+                Err(e) => {
+                    digest.write(format!("// {name} {scheme} error: {e}\n").as_bytes());
+                    continue;
+                }
+            };
+            for (label, noise) in [("ideal", NoiseModel::ideal()), ("noisy", noisy.clone())] {
+                // A fresh observer per run says whether the tree engine ran:
+                // only it reports `prefix.*` counters.
+                let obs = qobs::Observer::metrics_only();
+                let (counts, report) = Executor::new()
+                    .shots(256)
+                    .seed(index as u64)
+                    .threads(1)
+                    .noise(noise)
+                    .deadline(Duration::from_secs(3600))
+                    .cancel_token(CancelToken::new())
+                    .heartbeat(Arc::new(AtomicU64::new(0)))
+                    .observer(obs.clone())
+                    .run_resilient(dynamic.circuit());
+                tree_runs += usize::from(obs.metrics().counter("prefix.nodes").is_some());
+                assert_eq!(report.completed, 256, "{name} {scheme} {label}");
+                digest.write(format!("// {name} {scheme} {label}\n").as_bytes());
+                for (bits, n) in counts.iter() {
+                    digest.write(format!("{bits} {n}\n").as_bytes());
+                }
+                runs += 1;
+            }
+        }
+    }
+    assert!(runs > 4 * ORACLES, "{runs} runs");
+    assert!(
+        tree_runs > 4 * ORACLES,
+        "{tree_runs} of {runs} runs took the tree"
+    );
+    assert_eq!(
+        digest.0, EXPECTED_COUNTS,
+        "counts changed over {runs} runs: digest {:#018x}",
         digest.0
     );
 }
