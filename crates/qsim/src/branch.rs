@@ -217,8 +217,8 @@ mod tests {
 
     #[test]
     fn a_branch_at_most_branch_eps_is_dropped() {
-        // Outcome 1 has probability 1e-13: above the 1e-14 cutoff this
-        // module once had of its own, below the one shared BRANCH_EPS.
+        // Outcome 1 has probability 1e-13, within BRANCH_EPS: the
+        // enumeration drops it, as the engine's tree prunes it.
         let theta = 2.0 * (1e-13f64).sqrt().asin();
         let mut sv = StateVector::zero_state(1);
         sv.apply_gate(&qcir::Gate::Ry(theta), &[0]);

@@ -237,11 +237,13 @@ impl Distribution {
     /// Removes outcomes below `threshold` (numerical dust from branching),
     /// then rescales the survivors so the distribution sums to 1 again.
     ///
-    /// Without the rescale every pruned branch leaves the total short by its
-    /// dust weight, so enumerations like `branch::exact_distribution` could
-    /// return totals below 1 by accumulated `BRANCH_EPS` crumbs. When
-    /// nothing survives (or the surviving total is not positive and finite)
-    /// the map is left as-is: there is no meaningful mass to rescale.
+    /// `branch::exact_distribution` reads a branch tree that never expands
+    /// a branch at or below `prefix::BRANCH_EPS`, so its leaves sum to less
+    /// than 1 by the weight of every pruned branch; this rescale restores
+    /// the total. NaN weights never pass the `>=` test, so they are dropped
+    /// too. When nothing survives (or the surviving total is not positive
+    /// and finite) the map is left as-is: there is no meaningful mass to
+    /// rescale.
     pub fn prune(&mut self, threshold: f64) {
         self.map.retain(|_, p| *p >= threshold);
         let total = self.total();

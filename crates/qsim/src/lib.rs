@@ -13,7 +13,8 @@
 //!   engine ([`prefix`]) that evolves each stochastic branch once and
 //!   samples shots by walking the tree ([`Engine`], default `Auto`);
 //! * [`branch::exact_distribution`] — the exact, shot-noise-free outcome
-//!   distribution of a dynamic circuit via measurement-branch enumeration;
+//!   distribution of a dynamic circuit: the prefix engine's branch tree,
+//!   built under ideal noise without its node budget;
 //! * [`DensityMatrix`] / [`density::exact_distribution_noisy`] — exact mixed
 //!   state evolution under Kraus noise;
 //! * [`circuit_unitary`] — the unitary of a measurement-free circuit, for

@@ -510,8 +510,8 @@ mod tests {
 
     #[test]
     fn leaf_weights_are_products_of_per_shot_probabilities_bit_for_bit() {
-        // Fusing each `h t h` run into one matrix rounds differently from
-        // applying the three gates, so the weights would differ in an ulp.
+        // A fused `h t h` matrix rounds differently from the three gates,
+        // so this circuit tells any other evolution from the per-shot one.
         let (q, c) = (Qubit::new(0), Clbit::new);
         let mut circ = Circuit::new(1, 2);
         circ.h(q).t(q).h(q).measure(q, c(0));
