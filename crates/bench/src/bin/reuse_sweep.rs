@@ -2,7 +2,7 @@
 //!
 //! Sweeps every feasible lane width `k` for the representative workloads
 //! (BV_110, DJ_XOR, 3-qubit Grover and CARRY, all under dynamic-2) with
-//! [`dqc::explore`], simulates each point noiselessly and under
+//! [`dqc::explore()`], simulates each point noiselessly and under
 //! `device_like` noise, and emits a schema-stable `reuse_pareto/v1` JSON
 //! document: per-point width, depth, resets, conditioned gates, cost-model
 //! score, exact TVD, shots/sec and the noisy-vs-noiseless TVD, plus the

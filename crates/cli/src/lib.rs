@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! dqct --data 0,1 --answer 2 [--ancilla 3,4] [--scheme direct|dynamic1|dynamic2]
-//!      [--reuse auto|off|K] [--verify] [--stats] [--ascii] [--metrics[=json|text]]
+//!      [--reuse auto|off|K] [--verify] [--stats] [--ascii] [--metrics]
 //!      [--metrics-out PATH] [--trace PATH] [--trace-clock wall|test]
 //!      [--mitigate=reset-verify[,meas-repeat=R][,readout-cal]] [--noise S]
 //!      [--deadline-ms N] [--max-failed K] [--inject SPEC]
@@ -34,15 +34,6 @@ use std::time::Duration;
 
 pub mod client;
 
-/// Output format of the `--metrics` flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricsFormat {
-    /// One machine-readable JSON document (replaces the QASM output).
-    Json,
-    /// Human-readable `// `-prefixed lines appended after the QASM.
-    Text,
-}
-
 /// Parsed command-line options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliOptions {
@@ -64,12 +55,9 @@ pub struct CliOptions {
     pub ascii: bool,
     /// Run the static exactness analysis and report the verdict.
     pub analyze: bool,
-    /// Collect and print pipeline + simulation metrics.
-    ///
-    /// `--metrics=json` is kept as a deprecated alias for `--metrics-out -`;
-    /// prefer `--metrics-out` so machine-readable output never competes with
-    /// the QASM on stdout.
-    pub metrics: Option<MetricsFormat>,
+    /// Collect pipeline + simulation metrics and append them to the QASM as
+    /// `// `-prefixed lines (`--metrics-out` writes the JSON document).
+    pub metrics: bool,
     /// Write the metrics JSON document to this path (`-` = stdout, in which
     /// case the document replaces the QASM output).
     pub metrics_out: Option<String>,
@@ -121,7 +109,7 @@ impl Default for CliOptions {
             stats: false,
             ascii: false,
             analyze: false,
-            metrics: None,
+            metrics: false,
             metrics_out: None,
             trace: None,
             trace_clock: ClockMode::Wall,
@@ -170,7 +158,7 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
             "--analyze" => opts.analyze = true,
             "--stats" => opts.stats = true,
             "--ascii" => opts.ascii = true,
-            "--metrics" => opts.metrics = Some(MetricsFormat::Text),
+            "--metrics" => opts.metrics = true,
             "--metrics-out" => {
                 let v = it
                     .next()
@@ -269,18 +257,8 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                     opts.trace_clock = parse_clock(clock)?;
                 } else if let Some(path) = other.strip_prefix("--trace=") {
                     opts.trace = Some(path.to_string());
-                } else if let Some(fmt) = other.strip_prefix("--metrics=") {
-                    opts.metrics = Some(match fmt {
-                        "json" => MetricsFormat::Json,
-                        "text" => MetricsFormat::Text,
-                        bad => {
-                            return Err(format!(
-                                "unknown metrics format '{bad}' (expected 'json' or 'text')"
-                            ))
-                        }
-                    });
                 } else if !other.starts_with('-') && opts.input.is_none() {
-                    // Positional input file: `dqct --metrics=json circuit.qasm`.
+                    // Positional input file: `dqct --metrics circuit.qasm`.
                     opts.input = Some(other.to_string());
                 } else {
                     return Err(format!("unknown argument '{other}'\n{}", usage()));
@@ -298,22 +276,15 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 .to_string(),
         );
     }
-    if opts.inject.is_some()
-        && opts.metrics.is_none()
-        && opts.metrics_out.is_none()
-        && opts.trace.is_none()
-    {
+    let instrumented = opts.metrics || opts.metrics_out.is_some() || opts.trace.is_some();
+    if opts.inject.is_some() && !instrumented {
         return Err(
             "--inject needs --metrics, --metrics-out or --trace (faults are injected \
              into the instrumented simulation)"
                 .to_string(),
         );
     }
-    if opts.engine.is_some()
-        && opts.metrics.is_none()
-        && opts.metrics_out.is_none()
-        && opts.trace.is_none()
-    {
+    if opts.engine.is_some() && !instrumented {
         return Err(
             "--engine needs --metrics, --metrics-out or --trace (the engine selects \
              how the instrumented simulation samples shots)"
@@ -321,13 +292,10 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         );
     }
     // stdout carries exactly one document; reject competing claims up front.
-    let stdout_claims = usize::from(opts.metrics == Some(MetricsFormat::Json))
-        + usize::from(opts.metrics_out.as_deref() == Some("-"))
-        + usize::from(opts.trace.as_deref() == Some("-"));
-    if stdout_claims > 1 {
+    if opts.metrics_out.as_deref() == Some("-") && opts.trace.as_deref() == Some("-") {
         return Err(
-            "at most one of --metrics=json, --metrics-out - and --trace - may write \
-             to stdout; send the others to files"
+            "at most one of --metrics-out - and --trace - may write to stdout; \
+             send the other to a file"
                 .to_string(),
         );
     }
@@ -368,7 +336,7 @@ pub fn usage() -> String {
     "usage: dqct --answer <i,j,...> [--data <i,...>] [--ancilla <i,...>]\n\
      \x20           [--scheme direct|dynamic1|dynamic2] [--reuse auto|off|K]\n\
      \x20           [--verify] [--analyze]\n\
-     \x20           [--stats] [--metrics[=json|text]] [--shots N] [--seed N]\n\
+     \x20           [--stats] [--metrics] [--shots N] [--seed N]\n\
      \x20           [--threads N] [--ascii] [--metrics-out PATH]\n\
      \x20           [--trace PATH] [--trace-clock wall|test]\n\
      \x20           [--mitigate reset-verify[=K],meas-repeat=R,readout-cal]\n\
@@ -383,12 +351,10 @@ pub fn usage() -> String {
      the paper's scheme and the default without --reuse). A '// reuse:'\n\
      line reports the selection.\n\
      --metrics instruments the transform, verification and a seeded\n\
-     simulation of the dynamic circuit, then prints the collected\n\
-     counters, gauges and timing histograms ('json' prints one JSON\n\
-     document instead of QASM; 'text' appends '//'-prefixed lines).\n\
-     --metrics-out writes the metrics JSON document to PATH ('-' for\n\
-     stdout) so it never interleaves with the QASM; --metrics=json is a\n\
-     deprecated alias for --metrics-out -.\n\
+     simulation of the dynamic circuit, then appends the collected\n\
+     counters, gauges and timing histograms as '//'-prefixed lines.\n\
+     --metrics-out runs the same instrumentation and writes the metrics\n\
+     JSON document to PATH ('-' for stdout, replacing the QASM).\n\
      --trace writes a Chrome trace-event JSON file ('-' for stdout) of\n\
      the run — pipeline phases, per-shot spans, measure/reset/condition\n\
      sub-spans and fault instants — loadable in Perfetto or\n\
@@ -445,7 +411,7 @@ pub fn run(qasm_text: &str, opts: &CliOptions) -> Result<String, String> {
     );
     // Tracing or metrics output of any kind runs the instrumented pipeline
     // plus a seeded simulation of the dynamic circuit.
-    let wants_sim = opts.metrics.is_some() || opts.metrics_out.is_some() || opts.trace.is_some();
+    let wants_sim = opts.metrics || opts.metrics_out.is_some() || opts.trace.is_some();
     let obs = if wants_sim {
         Observer::metrics_only()
     } else {
@@ -668,21 +634,13 @@ pub fn run(qasm_text: &str, opts: &CliOptions) -> Result<String, String> {
         if opts.metrics_out.as_deref() == Some("-") {
             return Ok(metrics_json);
         }
-        match opts.metrics {
-            Some(MetricsFormat::Json) => {
-                // Deprecated alias for `--metrics-out -`: the output is
-                // exactly one JSON document.
-                return Ok(metrics_json);
+        if opts.metrics {
+            for line in run_lines {
+                let _ = writeln!(out, "// {line}");
             }
-            Some(MetricsFormat::Text) => {
-                for line in run_lines {
-                    let _ = writeln!(out, "// {line}");
-                }
-                for line in obs.metrics().to_text().lines() {
-                    let _ = writeln!(out, "// {line}");
-                }
+            for line in obs.metrics().to_text().lines() {
+                let _ = writeln!(out, "// {line}");
             }
-            None => {}
         }
         if opts.trace.as_deref().is_some_and(|p| p != "-") {
             // A compact profile next to the QASM when the full trace went to
@@ -815,11 +773,16 @@ h q[1];
     #[test]
     fn metrics_flag_parses_all_forms() {
         let bare = parse_args(&args("--answer 2 --metrics")).unwrap();
-        assert_eq!(bare.metrics, Some(MetricsFormat::Text));
-        let json = parse_args(&args("--answer 2 --metrics=json")).unwrap();
-        assert_eq!(json.metrics, Some(MetricsFormat::Json));
-        let text = parse_args(&args("--answer 2 --metrics=text")).unwrap();
-        assert_eq!(text.metrics, Some(MetricsFormat::Text));
+        assert!(bare.metrics);
+        assert!(!parse_args(&args("--answer 2")).unwrap().metrics);
+        // `--metrics` has one spelling; `--metrics-out -` is the JSON form.
+        for form in ["--metrics=json", "--metrics=text"] {
+            let err = parse_args(&args(&format!("--answer 2 {form}"))).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown argument '{form}'")),
+                "{err}"
+            );
+        }
         assert_eq!(bare.shots, 1024);
         assert_eq!(bare.seed, 7);
         assert_eq!(bare.threads, None);
@@ -840,12 +803,9 @@ h q[1];
 
     #[test]
     fn bad_metrics_format_is_a_clear_error() {
-        let err = parse_args(&args("--answer 2 --metrics=xml")).unwrap_err();
-        assert!(
-            err.contains("unknown metrics format 'xml'")
-                && err.contains("expected 'json' or 'text'"),
-            "{err}"
-        );
+        let err = parse_args(&args("--answer 2 --metrics=json")).unwrap_err();
+        assert!(err.contains("unknown argument '--metrics=json'"), "{err}");
+        assert!(err.contains("--metrics-out PATH"), "usage follows: {err}");
         assert!(parse_args(&args("--answer 2 --shots lots")).is_err());
         assert!(parse_args(&args("--answer 2 --seed abc")).is_err());
     }
@@ -860,7 +820,7 @@ h q[1];
 
     #[test]
     fn metrics_json_mode_emits_one_valid_document() {
-        let opts = parse_args(&args("--answer 2 --metrics=json --shots 32")).unwrap();
+        let opts = parse_args(&args("--answer 2 --metrics-out - --shots 32")).unwrap();
         let out = run(BV_QASM, &opts).unwrap();
         qobs::json::validate(&out).expect("output must be valid JSON");
         // The acceptance-criteria fields are all present.
@@ -896,7 +856,7 @@ h q[1];
 
     #[test]
     fn metrics_runs_are_seed_reproducible() {
-        let opts = parse_args(&args("--answer 2 --metrics=json --shots 64 --seed 5")).unwrap();
+        let opts = parse_args(&args("--answer 2 --metrics-out - --shots 64 --seed 5")).unwrap();
         let (a, b) = (run(BV_QASM, &opts).unwrap(), run(BV_QASM, &opts).unwrap());
         let counters = |s: &str| {
             let start = s.find("\"counters\"").unwrap();
@@ -913,7 +873,7 @@ h q[1];
         // e.g. executor.cc_fired) bit-identical at any worker count.
         let counters = |threads: &str| {
             let opts = parse_args(&args(&format!(
-                "--answer 2 --metrics=json --shots 128 --seed 5 --threads {threads}"
+                "--answer 2 --metrics-out - --shots 128 --seed 5 --threads {threads}"
             )))
             .unwrap();
             let out = run(BV_QASM, &opts).unwrap();
@@ -963,7 +923,7 @@ h q[1];
     #[test]
     fn inject_flag_parses_and_requires_metrics() {
         let o = parse_args(&args(
-            "--answer 2 --metrics=json --inject seed=9,meas-flip=0.25",
+            "--answer 2 --metrics-out - --inject seed=9,meas-flip=0.25",
         ))
         .unwrap();
         let plan = o.inject.expect("plan parsed");
@@ -982,7 +942,7 @@ h q[1];
     fn injected_faults_are_counted_and_thread_invariant() {
         let counters = |threads: &str| {
             let opts = parse_args(&args(&format!(
-                "--answer 2 --metrics=json --shots 128 --seed 5 --threads {threads} \
+                "--answer 2 --metrics-out - --shots 128 --seed 5 --threads {threads} \
                  --inject seed=3,meas-flip=0.2,reset-leak=0.2,cc-flip=0.1,gate-drop=0.1"
             )))
             .unwrap();
@@ -1037,7 +997,7 @@ h q[1];
     fn engine_choice_does_not_change_the_counts() {
         let counters = |engine: &str| {
             let opts = parse_args(&args(&format!(
-                "--answer 2 --metrics=json --shots 128 --seed 5 --engine {engine}"
+                "--answer 2 --metrics-out - --shots 128 --seed 5 --engine {engine}"
             )))
             .unwrap();
             let out = run(BV_QASM, &opts).unwrap();
@@ -1079,12 +1039,13 @@ h q[1];
 
     #[test]
     fn stdout_can_only_be_claimed_once() {
-        let err = parse_args(&args("--answer 2 --metrics=json --trace -")).unwrap_err();
+        let err = parse_args(&args("--answer 2 --metrics-out - --trace -")).unwrap_err();
         assert!(err.contains("at most one"), "{err}");
-        let err = parse_args(&args("--answer 2 --metrics-out - --trace=-")).unwrap_err();
+        let err = parse_args(&args("--answer 2 --metrics-out=- --trace=-")).unwrap_err();
         assert!(err.contains("at most one"), "{err}");
-        // One claimant plus file sinks is fine.
-        assert!(parse_args(&args("--answer 2 --metrics=json --trace t.json")).is_ok());
+        // One claimant plus a file for the other document is fine.
+        assert!(parse_args(&args("--answer 2 --metrics-out - --trace t.json")).is_ok());
+        assert!(parse_args(&args("--answer 2 --metrics-out m.json --trace -")).is_ok());
     }
 
     #[test]
@@ -1163,18 +1124,108 @@ h q[1];
         assert!(doc.contains("\"executor.shots\":32"), "{doc}");
     }
 
+    /// Metric names per section of a `MetricsRegistry::to_json` document:
+    /// the root's keys are the sections and the keys one level inside are
+    /// the metric names. No string sits at those depths except keys.
+    fn metric_names(doc: &str) -> std::collections::BTreeMap<String, Vec<String>> {
+        let mut sections = std::collections::BTreeMap::<String, Vec<String>>::new();
+        let (mut depth, mut section) = (0usize, String::new());
+        let mut chars = doc.chars();
+        while let Some(c) = chars.next() {
+            match c {
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                '"' => {
+                    let mut s = String::new();
+                    while let Some(c) = chars.next() {
+                        match c {
+                            '"' => break,
+                            '\\' => s.extend(chars.next()),
+                            c => s.push(c),
+                        }
+                    }
+                    match depth {
+                        1 => section = s,
+                        2 => sections.entry(section.clone()).or_default().push(s),
+                        _ => {}
+                    }
+                }
+                _ => {}
+            }
+        }
+        sections
+    }
+
     #[test]
-    fn metrics_out_stdout_matches_the_deprecated_alias() {
-        let new = parse_args(&args("--answer 2 --metrics-out - --shots 32 --seed 3")).unwrap();
-        let old = parse_args(&args("--answer 2 --metrics=json --shots 32 --seed 3")).unwrap();
-        let (a, b) = (run(BV_QASM, &new).unwrap(), run(BV_QASM, &old).unwrap());
-        let counters = |s: &str| {
-            let start = s.find("\"counters\"").unwrap();
-            let end = s.find("\"gauges\"").unwrap();
-            s[start..end].to_string()
-        };
-        assert_eq!(counters(&a), counters(&b));
-        assert!(!a.contains("OPENQASM"), "{a}");
+    fn metric_surface_of_the_gate_circuit_is_pinned() {
+        // The circuit of the check.sh determinism gates, with every
+        // instrumented stage switched on: a span no longer opened, or a
+        // metric renamed, changes this set.
+        const GATE_QASM: &str = "\
+OPENQASM 3.0;
+include \"stdgates.inc\";
+qubit[3] q;
+h q[0];
+h q[1];
+ccx q[0], q[1], q[2];
+";
+        let opts = parse_args(&args(
+            "--answer 2 --verify --reuse 2 --mitigate=reset-verify,meas-repeat=3 \
+             --metrics-out - --shots 256 --seed 11 --threads 1",
+        ))
+        .unwrap();
+        let doc = run(GATE_QASM, &opts).unwrap();
+        qobs::json::validate(&doc).expect("metrics must be valid JSON");
+        let names = metric_names(&doc);
+        let section = |s: &str| names.get(s).cloned().unwrap_or_default();
+        assert_eq!(
+            section("histograms"),
+            [
+                "dqc.mitigate_ns",
+                "executor.run_resilient_ns",
+                "transform.emit_ns",
+                "transform.lower_ns",
+                "transform.peephole_ns",
+                "transform.plan_ns",
+                "transform.reorder_ns",
+                "transform.roles_ns",
+                "verify.equivalence_ns",
+            ]
+        );
+        assert_eq!(
+            section("gauges"),
+            ["executor.qubits", "reuse.k_selected", "reuse.lanes"]
+        );
+        assert_eq!(
+            section("counters"),
+            [
+                "executor.cc_fired",
+                "executor.cc_skipped",
+                "executor.drift_renormalized",
+                "executor.gates.csx",
+                "executor.gates.csxdg",
+                "executor.gates.cx",
+                "executor.gates.h",
+                "executor.gates.x",
+                "executor.measurements",
+                "executor.mid_circuit_measurements",
+                "executor.noise_injections",
+                "executor.resets",
+                "executor.shots",
+                "executor.shots_discarded",
+                "executor.shots_failed",
+                "mitigate.reset_verify_fired",
+                "mitigate.scratch_clbits",
+                "mitigate.vote_groups",
+                "mitigate.votes_flipped",
+                "prefix.leaves",
+                "prefix.nodes",
+                "prefix.pruned_branches",
+                "prefix.shots_replayed",
+                "reuse.resets_inserted",
+            ]
+        );
+        assert_eq!(names.len(), 3, "{names:?}");
     }
 
     #[test]
@@ -1198,7 +1249,7 @@ h q[1];
     fn mitigated_counts_are_thread_count_invariant() {
         let counters = |threads: &str| {
             let opts = parse_args(&args(&format!(
-                "--answer 2 --metrics=json --shots 128 --seed 5 --threads {threads} \
+                "--answer 2 --metrics-out - --shots 128 --seed 5 --threads {threads} \
                  --noise 1.0 --mitigate=meas-repeat=3"
             )))
             .unwrap();

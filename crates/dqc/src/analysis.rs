@@ -93,8 +93,7 @@ fn diagonal_on(gate: &Gate, pos: usize) -> bool {
 ///
 /// # Errors
 ///
-/// Propagates ordering errors from
-/// [`reorder_work_qubits`](crate::reorder_work_qubits) (cyclic or
+/// Propagates ordering errors from [`reorder_work_qubits`] (cyclic or
 /// unrealizable interactions), since those circuits have no dynamic
 /// realization to analyze.
 pub fn analyze(circuit: &Circuit, roles: &QubitRoles) -> Result<DqcAnalysis, crate::DqcError> {

@@ -374,8 +374,7 @@ pub fn plan_with_scheme(
 }
 
 /// [`plan_with_scheme`] with instrumentation: wraps the search in a
-/// `transform.plan` span (fields `mode`, `widths`, `candidates`, `k`) and
-/// records the `reuse.k_selected` gauge plus a `reuse.selected` event.
+/// `transform.plan` span and records the `reuse.k_selected` gauge.
 ///
 /// # Errors
 ///
@@ -393,15 +392,13 @@ pub fn plan_with_scheme_observed(
     let work_order = reorder_work_qubits(&lowered, &lowered_roles)?;
     let m = work_order.len();
 
-    let mut span = obs.span("transform.plan");
-    span.field("mode", mode.to_string());
+    let span = obs.span("transform.plan");
 
     let widths: Vec<usize> = match mode {
         ReuseMode::Auto => (1..=m.max(1)).collect(),
         ReuseMode::Off => vec![m.max(1)],
         ReuseMode::Width(k) => vec![k],
     };
-    span.field("widths", widths.len());
 
     if let ReuseMode::Width(k) = mode {
         if k > m.max(1) {
@@ -445,26 +442,15 @@ pub fn plan_with_scheme_observed(
         }
     }
 
-    span.field("candidates", candidates);
     let Some((k, planned)) = best else {
         // No feasible width at all: surface the first underlying error.
         return Err(first_err.unwrap_or(DqcError::InvalidPlan {
             reason: "no feasible reuse plan".into(),
         }));
     };
-    span.field("k", k);
     drop(span);
 
     obs.gauge_set("reuse.k_selected", k as f64);
-    obs.event(
-        "reuse.selected",
-        &[
-            ("mode", mode.to_string().into()),
-            ("k", k.into()),
-            ("max_width", m.into()),
-            ("candidates", candidates.into()),
-        ],
-    );
 
     let report = ReuseReport {
         mode,

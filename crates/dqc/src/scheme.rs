@@ -53,7 +53,7 @@ impl fmt::Display for DynamicScheme {
 ///
 /// # Errors
 ///
-/// Propagates every error of [`transform`].
+/// Propagates every error of [`transform`](crate::transform()).
 ///
 /// # Examples
 ///
@@ -82,8 +82,7 @@ pub fn transform_with_scheme(
 }
 
 /// [`transform_with_scheme`] with instrumentation: a `transform.lower`
-/// span covers the Toffoli lowering (with `scheme` and before/after
-/// instruction counts as fields), then delegates to
+/// span covers the Toffoli lowering, then delegates to
 /// [`transform_observed`](crate::transform_observed).
 ///
 /// # Errors
@@ -116,25 +115,19 @@ pub(crate) fn lower_for_scheme(
     match scheme {
         DynamicScheme::Direct => (circuit.clone(), roles.clone()),
         DynamicScheme::Dynamic1 => {
-            let mut span = obs.span("transform.lower");
-            span.field("scheme", "dynamic-1");
-            span.field("before", circuit.len());
+            let _span = obs.span("transform.lower");
             let oriented = orient_toffolis(circuit, roles);
             let lowered = decompose_ccx(&oriented, ToffoliStyle::CvChain);
-            span.field("after", lowered.len());
             (lowered, roles.clone())
         }
         DynamicScheme::Dynamic2 => {
             let mut roles = roles.clone();
-            let mut span = obs.span("transform.lower");
-            span.field("scheme", "dynamic-2");
-            span.field("before", circuit.len());
+            let _span = obs.span("transform.lower");
             let ancillas = qcir::decompose::cv_ancilla_wires(circuit);
             let lowered = decompose_ccx(circuit, ToffoliStyle::CvAncilla);
             for a in ancillas {
                 roles = roles.with_extra_ancilla(a);
             }
-            span.field("after", lowered.len());
             (lowered, roles)
         }
     }

@@ -254,9 +254,9 @@ pub fn transform(
 /// [`transform`] with instrumentation: records spans for the role
 /// partition check (`transform.roles`), the work-qubit reorder
 /// (`transform.reorder`), the whole emission loop (`transform.emit`) and
-/// the peephole cleanup (`transform.peephole`), plus one
-/// `transform.iteration` event per emitted iteration, a `reuse.lanes`
-/// gauge and a `reuse.resets_inserted` counter.
+/// the peephole cleanup (`transform.peephole`), each into its `<span>_ns`
+/// histogram, plus a `reuse.lanes` gauge and a `reuse.resets_inserted`
+/// counter.
 ///
 /// With a disabled observer this is exactly [`transform`] — every
 /// instrumentation call short-circuits on a boolean.
@@ -307,9 +307,6 @@ enum FoldState {
 /// A lane's currently-live iteration.
 struct ActiveLane {
     qubit: Qubit,
-    /// `out.len()` at activation (before the lane reset), for the
-    /// `emitted` event field.
-    start_len: usize,
     /// Index into the `iterations` list, recorded at activation.
     index: usize,
 }
@@ -328,10 +325,7 @@ pub fn transform_with_plan_observed(
     obs: &Observer,
 ) -> Result<DynamicCircuit, DqcError> {
     {
-        let mut span = obs.span("transform.roles");
-        span.field("data", roles.data().len());
-        span.field("ancilla", roles.ancilla().len());
-        span.field("answer", roles.answer().len());
+        let _span = obs.span("transform.roles");
         roles.validate(circuit)?;
     }
     for inst in circuit.iter() {
@@ -343,10 +337,8 @@ pub fn transform_with_plan_observed(
         }
     }
     let work_order = {
-        let mut span = obs.span("transform.reorder");
-        let order = reorder_work_qubits(circuit, roles)?;
-        span.field("work_qubits", order.len());
-        order
+        let _span = obs.span("transform.reorder");
+        reorder_work_qubits(circuit, roles)?
     };
     let lanes = plan.resolve(&work_order)?;
     let k = lanes.len().max(1);
@@ -387,13 +379,9 @@ pub fn transform_with_plan_observed(
         .map(|inst| inst.is_barrier()) // barriers carry no semantics here
         .collect();
     let mut iterations: Vec<IterationInfo> = Vec::new();
-    let mut emit_span = obs.span("transform.emit");
-    emit_span.field("lanes", k);
+    let emit_span = obs.span("transform.emit");
 
-    // Retires a lane's live qubit: measure (data only), mark classical and
-    // fire the iteration event. `out.len() - start_len` counts everything
-    // emitted while the iteration was live (at k = 1 this is exactly the
-    // iteration's instructions; concurrent lanes interleave).
+    // Retires a lane's live qubit: measure (data only) and mark classical.
     let retire = |act: ActiveLane,
                   lane: usize,
                   state: &mut [FoldState],
@@ -405,30 +393,11 @@ pub fn transform_with_plan_observed(
             out.measure(Qubit::new(lane), bit);
         }
         state[act.qubit.index()] = FoldState::Retired;
-        obs.event(
-            "transform.iteration",
-            &[
-                ("index", act.index.into()),
-                ("work_qubit", act.qubit.index().into()),
-                (
-                    "role",
-                    if matches!(info.role, Role::Data) {
-                        "data".into()
-                    } else {
-                        "ancilla".into()
-                    },
-                ),
-                ("measured", info.measured.into()),
-                ("lane", lane.into()),
-                ("emitted", (out.len() - act.start_len).into()),
-            ],
-        );
     };
 
     // Stage 0: every lane head activates together.
     for (l, lane) in lanes.iter().enumerate() {
         let w = lane[0];
-        let start_len = out.len();
         if options.reset_first_iteration {
             out.reset(Qubit::new(l));
         }
@@ -437,7 +406,6 @@ pub fn transform_with_plan_observed(
         let is_data = matches!(role, Role::Data);
         active[l] = Some(ActiveLane {
             qubit: w,
-            start_len,
             index: iterations.len(),
         });
         iterations.push(IterationInfo {
@@ -474,14 +442,12 @@ pub fn transform_with_plan_observed(
         if options.insert_barriers {
             out.barrier_all();
         }
-        let start_len = out.len();
         out.reset(Qubit::new(l));
         state[w.index()] = FoldState::Active;
         let role = roles.role_of(w).expect("work qubit has role");
         let is_data = matches!(role, Role::Data);
         active[l] = Some(ActiveLane {
             qubit: w,
-            start_len,
             index: iterations.len(),
         });
         iterations.push(IterationInfo {
@@ -528,8 +494,6 @@ pub fn transform_with_plan_observed(
         &mut out,
     )?;
 
-    emit_span.field("iterations", iterations.len());
-    emit_span.field("instructions", out.len());
     drop(emit_span);
 
     let remaining = transformed.iter().filter(|&&t| !t).count();
@@ -539,13 +503,12 @@ pub fn transform_with_plan_observed(
 
     let lane_wires: Vec<Qubit> = (0..k).map(Qubit::new).collect();
     let circuit_out = if options.peephole {
-        let mut span = obs.span("transform.peephole");
-        let before = out.len();
+        let _span = obs.span("transform.peephole");
         // The lane wires' final states are discarded (each is either
         // measured or a spent ancilla); answer wires stay live for later
         // composition. Iterate the passes to a fixed point.
         let mut current = out;
-        let cleaned = loop {
+        loop {
             let next = remove_dead_writes_assuming_discarded(
                 &merge_conditioned_x_runs(&cancel_adjacent_inverses(&current)),
                 &lane_wires,
@@ -554,10 +517,7 @@ pub fn transform_with_plan_observed(
                 break next;
             }
             current = next;
-        };
-        span.field("before", before);
-        span.field("after", cleaned.len());
-        cleaned
+        }
     } else {
         out
     };

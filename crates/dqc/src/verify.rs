@@ -10,7 +10,7 @@
 use crate::roles::QubitRoles;
 use crate::transform::DynamicCircuit;
 use qcir::{Circuit, Clbit};
-use qobs::{Observer, SpanGuard};
+use qobs::Observer;
 use qsim::branch::exact_distribution;
 use qsim::Distribution;
 use std::fmt;
@@ -96,8 +96,7 @@ pub fn compare(
 }
 
 /// [`compare`] with instrumentation: the exact equivalence check runs
-/// inside a `verify.equivalence` span carrying the resulting `tvd` and the
-/// two distributions' outcome counts as fields.
+/// inside a `verify.equivalence` span.
 #[must_use]
 pub fn compare_observed(
     circuit: &Circuit,
@@ -105,10 +104,10 @@ pub fn compare_observed(
     dynamic: &DynamicCircuit,
     obs: &Observer,
 ) -> EquivalenceReport {
-    let mut span = obs.span("verify.equivalence");
+    let _span = obs.span("verify.equivalence");
     let traditional = traditional_distribution(circuit, roles);
     let dyn_dist = dynamic_distribution(dynamic);
-    report(traditional, dyn_dist, &mut span)
+    report(traditional, dyn_dist)
 }
 
 /// Compares while additionally measuring the given *answer* qubits on both
@@ -132,8 +131,7 @@ pub fn compare_with_answers_observed(
     dynamic: &DynamicCircuit,
     obs: &Observer,
 ) -> EquivalenceReport {
-    let mut span = obs.span("verify.equivalence");
-    span.field("with_answers", true);
+    let _span = obs.span("verify.equivalence");
     // Traditional side: measure data (register order) then answers above.
     let n_data = roles.data().len();
     let n_ans = roles.answer().len();
@@ -154,20 +152,12 @@ pub fn compare_with_answers_observed(
         dyn_measured.measure(a, Clbit::new(n_data + i));
     }
     let dyn_dist = exact_distribution(&dyn_measured);
-    report(traditional, dyn_dist, &mut span)
+    report(traditional, dyn_dist)
 }
 
-/// Assembles the report of one comparison and records its TVD and both
-/// outcome counts on the `verify.equivalence` span.
-fn report(
-    traditional: Distribution,
-    dynamic: Distribution,
-    span: &mut SpanGuard<'_>,
-) -> EquivalenceReport {
+/// Assembles the report of one comparison.
+fn report(traditional: Distribution, dynamic: Distribution) -> EquivalenceReport {
     let tvd = traditional.tvd(&dynamic);
-    span.field("tvd", tvd);
-    span.field("traditional_outcomes", traditional.len());
-    span.field("dynamic_outcomes", dynamic.len());
     let expected_outcome = traditional.argmax().unwrap_or_default().to_string();
     EquivalenceReport {
         p_traditional: traditional.get(&expected_outcome),

@@ -6,7 +6,7 @@
 //! instead be multiplied into one `4x4` (or `2x2`) matrix once, before the
 //! shot loop, and applied with a single [`apply_matrix`] sweep.
 //!
-//! Because [`Gate`] is a closed enum (adding an arbitrary-unitary variant
+//! Because [`Gate`](crate::Gate) is a closed enum (adding an arbitrary-unitary variant
 //! would break the QASM round-trip), fusion does not rewrite the circuit —
 //! it lowers it to a [`FusedProgram`]: a parallel instruction stream where
 //! each element is either a [`FusedBlock`] (the product matrix plus the

@@ -1,21 +1,18 @@
-//! The [`Observer`] facade: one cheap-to-clone handle bundling an event
-//! sink and a metrics registry, threaded through the transform→simulate
-//! pipeline.
+//! The [`Observer`] facade: one cheap-to-clone handle on a metrics
+//! registry, threaded through the transform→simulate pipeline.
 
 use crate::metrics::MetricsRegistry;
-use crate::sink::{CollectingSink, Event, EventSink, FieldValue, NullSink, SpanRecord};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A shared observability handle.
+/// A shared metrics handle.
 ///
-/// Cloning is two `Arc` bumps. A disabled observer ([`Observer::disabled`])
+/// Cloning is one `Arc` bump. A disabled observer ([`Observer::disabled`])
 /// makes every instrumentation call a branch on a boolean — no timestamps,
 /// no allocation, no locking — which is the zero-overhead-when-disabled
 /// guarantee the executor's hot path relies on.
 #[derive(Clone)]
 pub struct Observer {
-    sink: Arc<dyn EventSink>,
     metrics: Arc<MetricsRegistry>,
     enabled: bool,
 }
@@ -35,38 +32,20 @@ impl Default for Observer {
 }
 
 impl Observer {
-    /// An observer that records nothing ([`NullSink`], empty registry).
+    /// An observer that records nothing (empty registry).
     #[must_use]
     pub fn disabled() -> Self {
         Observer {
-            sink: Arc::new(NullSink),
             metrics: Arc::new(MetricsRegistry::new()),
             enabled: false,
         }
     }
 
-    /// An enabled observer collecting events and spans in memory.
-    #[must_use]
-    pub fn collecting() -> Self {
-        Self::with_sink(Arc::new(CollectingSink::new()))
-    }
-
-    /// An enabled observer with metrics only (events and spans dropped,
-    /// but counters/histograms recorded) — the cheapest *enabled* mode.
+    /// An enabled observer recording counters, gauges and span histograms
+    /// into a fresh registry.
     #[must_use]
     pub fn metrics_only() -> Self {
         Observer {
-            sink: Arc::new(NullSink),
-            metrics: Arc::new(MetricsRegistry::new()),
-            enabled: true,
-        }
-    }
-
-    /// An enabled observer with the given sink and a fresh registry.
-    #[must_use]
-    pub fn with_sink(sink: Arc<dyn EventSink>) -> Self {
-        Observer {
-            sink,
             metrics: Arc::new(MetricsRegistry::new()),
             enabled: true,
         }
@@ -99,14 +78,6 @@ impl Observer {
         Arc::clone(&self.metrics)
     }
 
-    /// Emits a structured event (no-op when disabled).
-    pub fn event(&self, name: &str, fields: &[(&str, FieldValue)]) {
-        if !self.enabled {
-            return;
-        }
-        self.sink.event(&Event::new(name, fields));
-    }
-
     /// Adds to a counter (no-op when disabled).
     #[inline]
     pub fn counter_add(&self, name: &str, delta: u64) {
@@ -123,8 +94,8 @@ impl Observer {
         }
     }
 
-    /// Opens a timed span; the returned guard reports to the sink **and**
-    /// records the duration into the `<name>_ns` histogram when it closes.
+    /// Opens a timed span; the returned guard records the duration into the
+    /// `<name>_ns` histogram when it closes.
     ///
     /// When disabled the guard holds no timestamp and its drop is a no-op.
     #[must_use = "dropping the guard immediately records a zero-length span"]
@@ -137,7 +108,6 @@ impl Observer {
             } else {
                 None
             },
-            fields: Vec::new(),
         }
     }
 }
@@ -148,69 +118,42 @@ pub struct SpanGuard<'a> {
     observer: &'a Observer,
     name: &'static str,
     start: Option<Instant>,
-    fields: Vec<(String, FieldValue)>,
-}
-
-impl SpanGuard<'_> {
-    /// Attaches a field reported when the span closes (no-op when the
-    /// observer is disabled).
-    pub fn field(&mut self, key: &str, value: impl Into<FieldValue>) {
-        if self.start.is_some() {
-            self.fields.push((key.to_string(), value.into()));
-        }
-    }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
-        let duration = start.elapsed();
         self.observer
             .metrics
-            .observe_duration(&format!("{}_ns", self.name), duration);
-        self.observer.sink.span(&SpanRecord {
-            name: self.name.to_string(),
-            duration,
-            fields: std::mem::take(&mut self.fields),
-        });
+            .observe_duration(&format!("{}_ns", self.name), start.elapsed());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::CollectingSink;
 
     #[test]
     fn disabled_observer_records_nothing() {
         let obs = Observer::disabled();
         obs.counter_add("c", 1);
         obs.gauge_set("g", 1.0);
-        obs.event("e", &[]);
         {
-            let mut s = obs.span("stage");
-            s.field("k", 1u64);
+            let _span = obs.span("stage");
         }
         assert!(obs.metrics().is_empty());
     }
 
     #[test]
     fn enabled_observer_records_spans_and_metrics() {
-        let sink = Arc::new(CollectingSink::new());
-        let obs = Observer::with_sink(sink.clone());
+        let obs = Observer::metrics_only();
         obs.counter_add("c", 2);
         {
-            let mut s = obs.span("stage");
-            s.field("items", 3u64);
+            let _span = obs.span("stage");
         }
         assert_eq!(obs.metrics().counter("c"), Some(2));
-        assert_eq!(sink.span_names(), vec!["stage".to_string()]);
         let h = obs.metrics().histogram("stage_ns").unwrap();
         assert_eq!(h.count, 1);
-        assert_eq!(
-            sink.spans()[0].fields[0],
-            ("items".to_string(), FieldValue::U64(3))
-        );
     }
 
     #[test]

@@ -46,7 +46,6 @@
 //! ```
 
 use crate::json::{number, JsonWriter};
-use crate::sink::FieldValue;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,6 +69,22 @@ pub enum ClockMode {
     Wall,
     /// Deterministic virtual ticks (see the module docs).
     Test,
+}
+
+/// A typed argument of an instant event, rendered into the Chrome `args`
+/// object.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FieldValue {
+    /// Unsigned integer.
+    U64(u64),
+    /// Signed integer.
+    I64(i64),
+    /// Float.
+    F64(f64),
+    /// Boolean.
+    Bool(bool),
+    /// String.
+    Str(String),
 }
 
 /// One recorded trace event. Names are `&'static str` so the recording hot

@@ -8,12 +8,10 @@
 
 use crate::counts::{bitstring, Distribution};
 use crate::noise::{KrausChannel, NoiseModel};
+use crate::prefix::BRANCH_EPS;
 use crate::statevector::StateVector;
 use qcir::{Circuit, OpKind};
 use qmath::{CMatrix, C64};
-
-/// Probability below which a measurement branch is abandoned.
-const BRANCH_EPS: f64 = 1e-14;
 
 /// A mixed quantum state on `n` qubits.
 ///
@@ -265,8 +263,10 @@ impl DensityMatrix {
 /// under a noise model, by exact density-matrix evolution with branch
 /// enumeration over measurement outcomes (and readout-error record flips).
 ///
-/// With [`NoiseModel::ideal`] this agrees with
-/// [`crate::branch::exact_distribution`] to rounding error.
+/// A branch (outcome or readout record) at or below
+/// [`crate::prefix::BRANCH_EPS`] is dropped, the cutoff of
+/// [`crate::branch::exact_distribution`], so with [`NoiseModel::ideal`]
+/// the two agree to rounding error.
 #[must_use]
 pub fn exact_distribution_noisy(circuit: &Circuit, noise: &NoiseModel) -> Distribution {
     let mut dist = Distribution::new();
@@ -563,6 +563,18 @@ mod tests {
             .to_distribution();
         let tvd = exact.tvd(&sampled);
         assert!(tvd < 0.02, "tvd {tvd} too large");
+    }
+
+    #[test]
+    fn ideal_noise_drops_the_same_branches_as_the_branch_enumerator() {
+        // Outcome 1 has probability 1e-13, within `prefix::BRANCH_EPS`:
+        // both enumerators drop it and agree exactly.
+        let theta = 2.0 * (1e-13f64).sqrt().asin();
+        let mut circ = Circuit::new(1, 1);
+        circ.ry(theta, q(0)).measure(q(0), c(0));
+        let d = exact_distribution_noisy(&circ, &NoiseModel::ideal());
+        assert_eq!(d, exact_distribution(&circ));
+        assert_eq!(d.get("0"), 1.0, "{d:?}");
     }
 
     #[test]

@@ -924,13 +924,7 @@ impl Executor {
         };
         let workers = (self.effective_threads() as u64).min(self.shots.max(1));
         let observed = self.observer.is_enabled();
-        let span = observed.then(|| {
-            let mut span = self.observer.span(name);
-            span.field("shots", self.shots);
-            span.field("instructions", circuit.len());
-            span.field("threads", workers);
-            span
-        });
+        let span = self.observer.span(name);
         let mut top = self.tracer.top_local();
         if let Some(t) = top.as_mut() {
             t.begin(name);

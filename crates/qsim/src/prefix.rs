@@ -61,7 +61,8 @@ use rand::Rng;
 
 /// Edge probability below which a branch is not expanded: walks that land
 /// on it replay their shot on the per-shot path instead, and
-/// [`crate::branch::exact_distribution`] drops it. Leaf weights of an
+/// [`crate::branch::exact_distribution`] and
+/// [`crate::density::exact_distribution_noisy`] drop it. Leaf weights of an
 /// unpruned tree sum to 1 within this epsilon.
 pub const BRANCH_EPS: f64 = 1e-12;
 

@@ -78,6 +78,10 @@ run cargo clippy --workspace --all-targets --offline -- -D warnings
 # and circuit generators everything builds on) and the CLI driver are held
 # to it too — a panic in the CLI turns a typed one-line error into a crash.
 run cargo clippy -p qsim -p dqc -p qfault -p bench -p qcir -p qalgo -p dqct-cli -p dqctd --lib --bins --offline -- -D warnings -D clippy::unwrap_used
+# Rustdoc gate: deleting or renaming a public item silently breaks every
+# intra-doc link to it; warnings (unresolved, ambiguous or redundant links)
+# fail the build here instead.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 if [ "$FAST" -eq 0 ]; then
     run cargo build --release --offline
 fi
