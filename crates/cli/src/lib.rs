@@ -11,7 +11,7 @@
 //!      [--metrics-out PATH] [--trace PATH] [--trace-clock wall|test]
 //!      [--mitigate=reset-verify[,meas-repeat=R][,readout-cal]] [--noise S]
 //!      [--deadline-ms N] [--max-failed K] [--inject SPEC]
-//!      [--engine shots|prefix|auto] [--shots N] [--seed N]
+//!      [--engine shots|prefix] [--shots N] [--seed N]
 //!      [--input FILE | FILE]
 //! ```
 //!
@@ -88,10 +88,10 @@ pub struct CliOptions {
     pub max_failed: Option<u64>,
     /// Deterministic fault plan injected into the metrics-mode simulation.
     pub inject: Option<FaultPlan>,
-    /// Shot engine for the metrics-mode simulation (`None` = `auto`, which
-    /// picks the prefix-sharing branch-tree engine whenever the run is
-    /// eligible). When set explicitly, a `// engine:` line reports the
-    /// resolved engine.
+    /// Shot engine for the metrics-mode simulation (`None` = the
+    /// executor's default, the prefix-sharing branch-tree engine, which
+    /// falls back to per-shot whenever the run is not eligible). When set
+    /// explicitly, a `// engine:` line reports the resolved engine.
     pub engine: Option<Engine>,
     /// Input file (`None` = stdin).
     pub input: Option<String>,
@@ -143,12 +143,7 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
             "--answer" => opts.answer = parse_list(it.next(), "--answer")?,
             "--scheme" => {
                 let v = it.next().ok_or("--scheme needs a value")?;
-                opts.scheme = match v.as_str() {
-                    "direct" => DynamicScheme::Direct,
-                    "dynamic1" | "dynamic-1" => DynamicScheme::Dynamic1,
-                    "dynamic2" | "dynamic-2" => DynamicScheme::Dynamic2,
-                    other => return Err(format!("unknown scheme '{other}'")),
-                };
+                opts.scheme = v.parse()?;
             }
             "--reuse" => {
                 let v = it.next().ok_or("--reuse needs 'auto', 'off' or a width")?;
@@ -231,9 +226,7 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 opts.inject = Some(FaultPlan::parse(v).map_err(|e| format!("--inject: {e}"))?);
             }
             "--engine" => {
-                let v = it
-                    .next()
-                    .ok_or("--engine needs 'shots', 'prefix' or 'auto'")?;
+                let v = it.next().ok_or("--engine needs 'shots' or 'prefix'")?;
                 opts.engine = Some(parse_engine(v)?);
             }
             "--input" => {
@@ -292,10 +285,19 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         );
     }
     // stdout carries exactly one document; reject competing claims up front.
-    if opts.metrics_out.as_deref() == Some("-") && opts.trace.as_deref() == Some("-") {
+    let metrics_to_stdout = opts.metrics_out.as_deref() == Some("-");
+    let trace_to_stdout = opts.trace.as_deref() == Some("-");
+    if metrics_to_stdout && trace_to_stdout {
         return Err(
             "at most one of --metrics-out - and --trace - may write to stdout; \
              send the other to a file"
+                .to_string(),
+        );
+    }
+    if opts.metrics && (metrics_to_stdout || trace_to_stdout) {
+        return Err(
+            "--metrics appends '//' lines to the QASM on stdout, which --metrics-out - \
+             and --trace - replace with their document; send that document to a file"
                 .to_string(),
         );
     }
@@ -303,9 +305,8 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
 }
 
 fn parse_engine(v: &str) -> Result<Engine, String> {
-    Engine::parse(v).ok_or_else(|| {
-        format!("--engine: unknown engine '{v}' (expected 'shots', 'prefix' or 'auto')")
-    })
+    Engine::parse(v)
+        .ok_or_else(|| format!("--engine: unknown engine '{v}' (expected 'shots' or 'prefix')"))
 }
 
 fn parse_clock(v: &str) -> Result<ClockMode, String> {
@@ -342,7 +343,7 @@ pub fn usage() -> String {
      \x20           [--mitigate reset-verify[=K],meas-repeat=R,readout-cal]\n\
      \x20           [--noise S] [--deadline-ms N] [--max-failed K]\n\
      \x20           [--inject seed=N,<site>=<rate>,...,delay-ms=N]\n\
-     \x20           [--engine shots|prefix|auto] [--input FILE | FILE]\n\
+     \x20           [--engine shots|prefix] [--input FILE | FILE]\n\
      Reads OpenQASM 3 from FILE or stdin; qubits not listed under --answer\n\
      or --ancilla default to data.\n\
      --reuse explores the qubit-reuse design space: K physical lanes\n\
@@ -352,7 +353,8 @@ pub fn usage() -> String {
      line reports the selection.\n\
      --metrics instruments the transform, verification and a seeded\n\
      simulation of the dynamic circuit, then appends the collected\n\
-     counters, gauges and timing histograms as '//'-prefixed lines.\n\
+     counters, gauges and timing histograms as '//'-prefixed lines; it\n\
+     needs the QASM on stdout, so it rejects --metrics-out - and --trace -.\n\
      --metrics-out runs the same instrumentation and writes the metrics\n\
      JSON document to PATH ('-' for stdout, replacing the QASM).\n\
      --trace writes a Chrome trace-event JSON file ('-' for stdout) of\n\
@@ -375,11 +377,11 @@ pub fn usage() -> String {
      delay; rates in [0,1]); injections are counted as fault.injected.*\n\
      metrics and are bit-identical for every --threads value.\n\
      --engine picks the shot engine: 'shots' re-runs the circuit per shot,\n\
-     'prefix' shares unitary prefixes via a branch tree and samples shots\n\
-     by walking it (bit-identical counts at the same seed), 'auto' (the\n\
-     default) uses prefix whenever the run is eligible — tracing, fault\n\
-     injection, gate/idle noise or --max-failed fall back to per-shot.\n\
-     A '// engine:' line reports the resolved engine."
+     'prefix' (the default) shares unitary prefixes via a branch tree and\n\
+     samples shots by walking it (bit-identical counts at the same seed)\n\
+     whenever the run is eligible — tracing, fault injection, gate/idle\n\
+     noise or --max-failed fall back to per-shot. A '// engine:' line\n\
+     reports the resolved engine."
         .to_string()
 }
 
@@ -794,6 +796,22 @@ h q[1];
     }
 
     #[test]
+    fn metrics_lines_need_the_qasm_on_stdout() {
+        for claim in [
+            "--metrics-out -",
+            "--metrics-out=-",
+            "--trace -",
+            "--trace=-",
+        ] {
+            let err = parse_args(&args(&format!("--answer 2 --metrics {claim}"))).unwrap_err();
+            assert!(err.starts_with("--metrics appends"), "{claim}: {err}");
+        }
+        // A document written to a file leaves stdout to the QASM.
+        assert!(parse_args(&args("--answer 2 --metrics --metrics-out m.json")).is_ok());
+        assert!(parse_args(&args("--answer 2 --metrics --trace t.json")).is_ok());
+    }
+
+    #[test]
     fn threads_flag_rejects_bad_values() {
         assert!(parse_args(&args("--answer 2 --threads many")).is_err());
         let err = parse_args(&args("--answer 2 --threads 0")).unwrap_err();
@@ -963,11 +981,11 @@ h q[1];
         assert_eq!(sep.engine, Some(Engine::Prefix));
         let eq = parse_args(&args("--answer 2 --metrics --engine=shots")).unwrap();
         assert_eq!(eq.engine, Some(Engine::Shots));
-        let auto = parse_args(&args("--answer 2 --metrics --engine auto")).unwrap();
-        assert_eq!(auto.engine, Some(Engine::Auto));
         assert_eq!(parse_args(&args("--answer 2")).unwrap().engine, None);
         let err = parse_args(&args("--answer 2 --metrics --engine=warp")).unwrap_err();
         assert!(err.contains("unknown engine 'warp'"), "{err}");
+        let err = parse_args(&args("--answer 2 --metrics --engine auto")).unwrap_err();
+        assert!(err.contains("unknown engine 'auto'"), "{err}");
         assert!(parse_args(&args("--answer 2 --metrics --engine")).is_err());
         // Like --inject, the flag shapes the instrumented simulation only.
         let err = parse_args(&args("--answer 2 --engine prefix")).unwrap_err();
@@ -981,13 +999,12 @@ h q[1];
                 parse_args(&args(&format!("--answer 2 --metrics --shots 32 {flags}"))).unwrap();
             run(BV_QASM, &opts).unwrap()
         };
-        // Explicit engines report themselves; the eligible auto run resolves
-        // to prefix; a fault plan forces per-shot; no flag, no line.
+        // Explicit engines report themselves; a fault plan or a failed-shot
+        // budget forces per-shot; no flag, no line.
         assert!(run_with("--engine prefix").contains("// engine: prefix"));
         assert!(run_with("--engine shots").contains("// engine: shots"));
-        assert!(run_with("--engine auto").contains("// engine: prefix"));
-        assert!(run_with("--engine auto --inject meas-flip=0.1").contains("// engine: shots"));
-        assert!(run_with("--engine auto --max-failed 3").contains("// engine: shots"));
+        assert!(run_with("--engine prefix --inject meas-flip=0.1").contains("// engine: shots"));
+        assert!(run_with("--engine prefix --max-failed 3").contains("// engine: shots"));
         // A deadline is polled cooperatively and keeps the prefix engine.
         assert!(run_with("--engine prefix --deadline-ms 60000").contains("// engine: prefix"));
         assert!(!run_with("").contains("// engine:"));

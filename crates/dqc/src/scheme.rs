@@ -19,6 +19,7 @@ use qcir::decompose::{decompose_ccx, ToffoliStyle};
 use qcir::{Circuit, Gate, Qubit};
 use qobs::Observer;
 use std::fmt;
+use std::str::FromStr;
 
 /// Which dynamic realization of Toffoli gates to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,6 +43,21 @@ impl fmt::Display for DynamicScheme {
             DynamicScheme::Dynamic2 => "dynamic-2",
         };
         f.write_str(name)
+    }
+}
+
+impl FromStr for DynamicScheme {
+    type Err = String;
+
+    /// Parses the CLI and wire spellings: `direct`, `dynamic1` or
+    /// `dynamic-1`, `dynamic2` or `dynamic-2`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "direct" => Ok(DynamicScheme::Direct),
+            "dynamic1" | "dynamic-1" => Ok(DynamicScheme::Dynamic1),
+            "dynamic2" | "dynamic-2" => Ok(DynamicScheme::Dynamic2),
+            _ => Err(format!("unknown scheme '{s}'")),
+        }
     }
 }
 
@@ -201,6 +217,22 @@ mod tests {
             assert_eq!(d.circuit().num_qubits(), 2, "{scheme}");
             assert_eq!(d.circuit().num_clbits(), 2, "{scheme}");
         }
+    }
+
+    #[test]
+    fn scheme_spellings_parse_back() {
+        for (scheme, wire) in [
+            (DynamicScheme::Direct, "direct"),
+            (DynamicScheme::Dynamic1, "dynamic1"),
+            (DynamicScheme::Dynamic2, "dynamic2"),
+        ] {
+            assert_eq!(scheme.to_string().parse(), Ok(scheme));
+            assert_eq!(wire.parse(), Ok(scheme));
+        }
+        assert_eq!(
+            "dynamic3".parse::<DynamicScheme>(),
+            Err("unknown scheme 'dynamic3'".to_string())
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //!
 //! A submission is examined *before* it is accepted, in order of
 //! increasing cost: drain state, QASM parse, structural validation, size
-//! limits (qubits, shots), role partition, queue capacity. Every rejection
+//! limits (qubits, shots), role partition, then — in the one critical
+//! section that also inserts the job into the in-flight registry —
+//! duplicate id, queue capacity and memory budget. Every rejection
 //! is typed ([`RejectReason`]) and, where retrying can help (`queue-full`,
 //! `draining`), carries a `retry_after_ms` backoff hint derived from the
 //! observed job-latency EMA and the current backlog. Once a job is
@@ -53,7 +55,7 @@ use qcir::{Circuit, Qubit};
 use qfault::FaultPlan;
 use qobs::Observer;
 use qsim::{CancelToken, Executor, FaultSite, Termination};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -108,23 +110,17 @@ fn scheme_name(scheme: DynamicScheme) -> &'static str {
 /// server-side default (shots, seed, scheme, deadline) made explicit, so
 /// replay after a restart — possibly under a different configuration —
 /// reproduces exactly the job that was admitted.
-fn resolved_spec(
-    spec: &JobSpec,
-    shots: u64,
-    seed: u64,
-    deadline: Duration,
-    scheme: DynamicScheme,
-) -> JobSpec {
+fn resolved_spec(job: &Job, qasm: &str) -> JobSpec {
     JobSpec {
-        id: spec.id.clone(),
-        shots: Some(shots),
-        seed: Some(seed),
-        answer: spec.answer.clone(),
-        data: spec.data.clone(),
-        ancilla: spec.ancilla.clone(),
-        scheme: Some(scheme_name(scheme).to_string()),
-        deadline_ms: Some(u64::try_from(deadline.as_millis()).unwrap_or(u64::MAX)),
-        qasm: spec.qasm.clone(),
+        id: job.id.clone(),
+        shots: Some(job.shots),
+        seed: Some(job.seed),
+        answer: job.answer.clone(),
+        data: job.data.clone(),
+        ancilla: job.ancilla.clone(),
+        scheme: Some(scheme_name(job.scheme).to_string()),
+        deadline_ms: Some(u64::try_from(job.deadline.as_millis()).unwrap_or(u64::MAX)),
+        qasm: qasm.to_string(),
     }
 }
 
@@ -205,7 +201,6 @@ type Sink = Arc<Mutex<Box<dyn Write + Send>>>;
 
 /// One accepted job.
 struct Job {
-    conn: u64,
     id: String,
     circuit: Circuit,
     answer: Vec<usize>,
@@ -218,15 +213,68 @@ struct Job {
     deadline: Duration,
     accepted: Instant,
     token: CancelToken,
-    sink: Sink,
+    /// The submitting connection and its response writer; `None` for a
+    /// journal-replayed job, whose connection died with the old process.
+    client: Option<(u64, Sink)>,
     /// Statevector bytes reserved against [`Config::max_inflight_bytes`].
     bytes: u64,
     /// Respond-once guard shared with the watchdog: whoever flips it
     /// first answers the job and settles its accounting.
-    answered: Arc<AtomicBool>,
-    /// `true` for journal-replayed jobs: their admission is already on
-    /// disk and their original connection is gone.
-    recovered: bool,
+    answered: AtomicBool,
+}
+
+impl Job {
+    /// A job for `spec`, with the server defaults (shots, seed, deadline)
+    /// filled in where the submission leaves them out.
+    fn new(
+        spec: &JobSpec,
+        circuit: Circuit,
+        roles: QubitRoles,
+        scheme: DynamicScheme,
+        config: &Config,
+        client: Option<(u64, Sink)>,
+    ) -> Job {
+        Job {
+            id: spec.id.clone(),
+            bytes: statevector_bytes(circuit.num_qubits()),
+            circuit,
+            answer: spec.answer.clone(),
+            data: spec.data.clone(),
+            ancilla: spec.ancilla.clone(),
+            roles,
+            scheme,
+            shots: spec.shots.unwrap_or(config.default_shots),
+            seed: spec.seed.unwrap_or(config.default_seed),
+            deadline: spec
+                .deadline_ms
+                .map_or(config.default_deadline, Duration::from_millis),
+            accepted: Instant::now(),
+            token: CancelToken::new(),
+            client,
+            answered: AtomicBool::new(false),
+        }
+    }
+}
+
+/// Every accepted job that is not yet answered, under one lock: admission
+/// checks and inserts in one critical section, and [`finish_job`] removes.
+#[derive(Default)]
+struct Jobs {
+    /// Jobs no worker has picked up yet, in admission order.
+    queue: VecDeque<Arc<Job>>,
+    /// Queued and running jobs by client id: one id, one run.
+    inflight: HashMap<String, Arc<Job>>,
+    /// Sum of the in-flight jobs' statevector bytes.
+    bytes: u64,
+}
+
+impl Jobs {
+    /// Queues an accepted job and reserves its statevector bytes.
+    fn insert(&mut self, job: Arc<Job>) {
+        self.bytes += job.bytes;
+        self.inflight.insert(job.id.clone(), Arc::clone(&job));
+        self.queue.push_back(job);
+    }
 }
 
 /// One worker's supervision surface, shared between the worker thread,
@@ -242,48 +290,38 @@ struct WorkerSlot {
     retired: AtomicBool,
     /// What the worker is running right now, for the watchdog's
     /// escalation path.
-    active: Mutex<Option<ActiveJob>>,
-}
-
-/// The watchdog-visible face of a running job.
-#[derive(Clone)]
-struct ActiveJob {
-    conn: u64,
-    id: String,
-    shots: u64,
-    token: CancelToken,
-    sink: Sink,
-    answered: Arc<AtomicBool>,
-    bytes: u64,
-    recovered: bool,
+    active: Mutex<Option<Arc<Job>>>,
+    /// The worker thread. A retired slot's handle is never joined — the
+    /// thread may be wedged forever — and goes when the slot does.
+    handle: Mutex<Option<JoinHandle<()>>>,
 }
 
 struct State {
     config: Config,
     observer: Observer,
-    queue: Mutex<VecDeque<Job>>,
+    jobs: Mutex<Jobs>,
+    /// Signalled (under `jobs`) when a job is queued or drain begins.
     available: Condvar,
     draining: AtomicBool,
     cache: TransformCache,
-    pending: AtomicU64,
     ema_job_us: AtomicU64,
     next_conn: AtomicU64,
-    tokens: Mutex<HashMap<(u64, String), CancelToken>>,
     journal: Option<Journal>,
     /// Completion index: client job id → the exact response bytes it was
     /// answered with (recovered from the journal, extended live).
     completions: Mutex<HashMap<String, Vec<u8>>>,
-    /// Ids currently queued or running, so a duplicate of an in-flight
-    /// job is rejected instead of racing two runs of one id.
-    inflight_ids: Mutex<HashSet<String>>,
-    /// Sum of queued + running statevector bytes.
-    inflight_bytes: AtomicU64,
     /// Live worker slots (retired zombies are pruned by the watchdog).
     slots: Mutex<Vec<Arc<WorkerSlot>>>,
-    /// Worker join handles keyed by slot id; an abandoned worker's handle
-    /// is dropped (detached), never joined — it may be wedged forever.
-    handles: Mutex<HashMap<u64, JoinHandle<()>>>,
     next_slot: AtomicU64,
+}
+
+impl State {
+    /// Accepted jobs not yet answered.
+    fn pending(&self) -> u64 {
+        self.jobs
+            .lock()
+            .map_or(0, |jobs| jobs.inflight.len() as u64)
+    }
 }
 
 /// The running service: a worker pool behind a bounded queue, plus the
@@ -335,19 +373,14 @@ impl Server {
             cache: TransformCache::new(config.cache_capacity),
             config,
             observer: Observer::metrics_only(),
-            queue: Mutex::new(VecDeque::new()),
+            jobs: Mutex::new(Jobs::default()),
             available: Condvar::new(),
             draining: AtomicBool::new(false),
-            pending: AtomicU64::new(0),
             ema_job_us: AtomicU64::new(0),
             next_conn: AtomicU64::new(0),
-            tokens: Mutex::new(HashMap::new()),
             journal,
             completions: Mutex::new(HashMap::new()),
-            inflight_ids: Mutex::new(HashSet::new()),
-            inflight_bytes: AtomicU64::new(0),
             slots: Mutex::new(Vec::new()),
-            handles: Mutex::new(HashMap::new()),
             next_slot: AtomicU64::new(0),
         });
         if let Some(recovery) = recovery {
@@ -375,16 +408,10 @@ impl Server {
         let conn = self.state.next_conn.fetch_add(1, Ordering::Relaxed);
         let sink: Sink = Arc::new(Mutex::new(writer));
         loop {
-            match read_frame(reader, self.state.config.max_frame_bytes) {
+            let response = match read_frame(reader, self.state.config.max_frame_bytes) {
                 Ok(Some(payload)) => match parse_request(&payload) {
-                    Ok(request) => {
-                        if !self.dispatch(conn, request, &sink) {
-                            return;
-                        }
-                    }
-                    Err(detail) => {
-                        respond(&self.state, &sink, &Response::Error { id: None, detail });
-                    }
+                    Ok(request) => self.dispatch(conn, request, &sink),
+                    Err(detail) => Some(Response::Error { id: None, detail }),
                 },
                 // Clean close: the peer is done submitting.
                 Ok(None) => return,
@@ -392,17 +419,17 @@ impl Server {
                 // connection closes (the unread body makes resync
                 // impossible). Truncation and transport errors just close.
                 Err(FrameError::TooLarge { len, max }) => {
-                    respond(
-                        &self.state,
-                        &sink,
-                        &Response::Error {
-                            id: None,
-                            detail: format!("frame of {len} bytes exceeds the {max}-byte limit"),
-                        },
-                    );
+                    let response = Response::Error {
+                        id: None,
+                        detail: format!("frame of {len} bytes exceeds the {max}-byte limit"),
+                    };
+                    send(&self.state, &sink, &response.render());
                     return;
                 }
                 Err(_) => return,
+            };
+            if let Some(response) = response {
+                send(&self.state, &sink, &response.render());
             }
         }
     }
@@ -422,44 +449,38 @@ impl Server {
         self.serve_connection(&mut BufReader::new(read_half), Box::new(stream));
     }
 
-    /// Handles one parsed request; `false` ends the connection.
-    fn dispatch(&self, conn: u64, request: Request, sink: &Sink) -> bool {
-        let state = &self.state;
+    /// Handles one parsed request, returning the response the connection
+    /// sends now, if any (a job answers later, from its worker).
+    fn dispatch(&self, conn: u64, request: Request, sink: &Sink) -> Option<Response> {
         match request {
-            Request::Ping => respond(state, sink, &Response::Pong),
-            Request::Metrics => {
-                let registry = state.observer.metrics().to_json();
-                respond(state, sink, &Response::Metrics(registry));
-            }
+            Request::Ping => Some(Response::Pong),
+            Request::Metrics => Some(Response::Metrics(self.state.observer.metrics().to_json())),
             Request::Drain => {
                 self.drain();
-                respond(state, sink, &Response::Draining);
+                Some(Response::Draining)
             }
             Request::Cancel(id) => {
-                let token = state
-                    .tokens
+                let job = self
+                    .state
+                    .jobs
                     .lock()
                     .ok()
-                    .and_then(|tokens| tokens.get(&(conn, id.clone())).cloned());
-                match token {
-                    Some(token) => token.cancel(), // the job's own response reports "cancelled"
-                    None => respond(
-                        state,
-                        sink,
-                        &Response::Error {
-                            id: Some(id),
-                            detail: "no such active job on this connection".to_string(),
-                        },
-                    ),
+                    .and_then(|jobs| jobs.inflight.get(&id).cloned())
+                    .filter(|job| job.client.as_ref().is_some_and(|(c, _)| *c == conn));
+                match job {
+                    // The job's own response reports "cancelled".
+                    Some(job) => {
+                        job.token.cancel();
+                        None
+                    }
+                    None => Some(Response::Error {
+                        id: Some(id),
+                        detail: "no such active job on this connection".to_string(),
+                    }),
                 }
             }
-            Request::Submit(spec) => {
-                if let Some(rejection) = self.admit(conn, *spec, sink) {
-                    respond(state, sink, &rejection);
-                }
-            }
+            Request::Submit(spec) => self.admit(conn, *spec, sink),
         }
-        true
     }
 
     /// Admission control: accepts the job into the queue (returning
@@ -477,11 +498,7 @@ impl Server {
             .and_then(|done| done.get(&spec.id).cloned());
         if let Some(response) = served {
             obs.counter_add("journal.dedup_served", 1);
-            if let Ok(mut writer) = sink.lock() {
-                if write_frame(&mut *writer, &response).is_err() {
-                    obs.counter_add("service.disconnects", 1);
-                }
-            }
+            send(state, sink, &response);
             return None;
         }
         let reject = |counter: &str, reason: RejectReason| {
@@ -497,20 +514,6 @@ impl Server {
                 reason,
             })
         };
-        // One id, one run: a duplicate of a job still in flight is turned
-        // away instead of racing two runs (and two responses) for one id.
-        if state
-            .inflight_ids
-            .lock()
-            .is_ok_and(|ids| ids.contains(&spec.id))
-        {
-            return reject(
-                "service.rejected.invalid",
-                RejectReason::Invalid {
-                    detail: format!("job id '{}' is already in flight", spec.id),
-                },
-            );
-        }
         if state.draining.load(Ordering::Relaxed) {
             return reject(
                 "service.rejected.draining",
@@ -562,18 +565,14 @@ impl Server {
                 },
             );
         }
-        let scheme = match spec.scheme.as_deref() {
-            None => DynamicScheme::Dynamic2,
-            Some("direct") => DynamicScheme::Direct,
-            Some("dynamic1") | Some("dynamic-1") => DynamicScheme::Dynamic1,
-            Some("dynamic2") | Some("dynamic-2") => DynamicScheme::Dynamic2,
-            Some(other) => {
-                return reject(
-                    "service.rejected.invalid",
-                    RejectReason::Invalid {
-                        detail: format!("unknown scheme '{other}'"),
-                    },
-                )
+        let scheme = match spec
+            .scheme
+            .as_deref()
+            .map_or(Ok(DynamicScheme::Dynamic2), str::parse)
+        {
+            Ok(scheme) => scheme,
+            Err(detail) => {
+                return reject("service.rejected.invalid", RejectReason::Invalid { detail })
             }
         };
         let roles = match build_roles(&circuit, &spec.answer, &spec.data, &spec.ancilla) {
@@ -582,49 +581,27 @@ impl Server {
                 return reject("service.rejected.invalid", RejectReason::Invalid { detail })
             }
         };
+        let client = Some((conn, Arc::clone(sink)));
+        let job = Job::new(&spec, circuit, roles, scheme, &state.config, client);
         // Memory admission: shed work the statevector budget cannot hold
         // *before* any allocation. The traditional circuit's width bounds
         // the transformed one (reuse only narrows), so this is
         // conservative.
-        let bytes = statevector_bytes(circuit.num_qubits());
-        if bytes > state.config.max_inflight_bytes {
+        if job.bytes > state.config.max_inflight_bytes {
             return reject(
                 "service.rejected.too_large",
                 RejectReason::TooLarge {
                     detail: format!(
-                        "a {}-qubit statevector ({bytes} bytes) exceeds the {}-byte memory budget",
-                        circuit.num_qubits(),
+                        "a {}-qubit statevector ({} bytes) exceeds the {}-byte memory budget",
+                        job.circuit.num_qubits(),
+                        job.bytes,
                         state.config.max_inflight_bytes
                     ),
                 },
             );
         }
-        let seed = spec.seed.unwrap_or(state.config.default_seed);
-        let deadline = spec
-            .deadline_ms
-            .map_or(state.config.default_deadline, Duration::from_millis);
-        let token = CancelToken::new();
-        let job = Job {
-            conn,
-            id: spec.id.clone(),
-            circuit,
-            answer: spec.answer.clone(),
-            data: spec.data.clone(),
-            ancilla: spec.ancilla.clone(),
-            roles,
-            scheme,
-            shots,
-            seed,
-            deadline,
-            accepted: Instant::now(),
-            token: token.clone(),
-            sink: Arc::clone(sink),
-            bytes,
-            answered: Arc::new(AtomicBool::new(false)),
-            recovered: false,
-        };
         {
-            let Ok(mut queue) = state.queue.lock() else {
+            let Ok(mut jobs) = state.jobs.lock() else {
                 return reject(
                     "service.rejected.invalid",
                     RejectReason::Invalid {
@@ -632,8 +609,20 @@ impl Server {
                     },
                 );
             };
-            if queue.len() >= state.config.queue_capacity {
-                drop(queue);
+            // One id, one run: the check and the insert below share this
+            // critical section, so two connections racing one id cannot
+            // both be admitted.
+            if jobs.inflight.contains_key(&job.id) {
+                drop(jobs);
+                return reject(
+                    "service.rejected.invalid",
+                    RejectReason::Invalid {
+                        detail: format!("job id '{}' is already in flight", job.id),
+                    },
+                );
+            }
+            if jobs.queue.len() >= state.config.queue_capacity {
+                drop(jobs);
                 return reject(
                     "service.rejected.queue_full",
                     RejectReason::QueueFull {
@@ -641,9 +630,8 @@ impl Server {
                     },
                 );
             }
-            let inflight = state.inflight_bytes.load(Ordering::Relaxed);
-            if inflight + bytes > state.config.max_inflight_bytes {
-                drop(queue);
+            if jobs.bytes + job.bytes > state.config.max_inflight_bytes {
+                drop(jobs);
                 obs.counter_add("service.rejected.memory", 1);
                 return reject(
                     "service.rejected.queue_full",
@@ -657,9 +645,8 @@ impl Server {
             // client was promised, and replay never resurrects a job that
             // was actually rejected.
             if let Some(journal) = &state.journal {
-                let resolved = resolved_spec(&spec, shots, seed, deadline, job.scheme);
-                if let Err(e) = journal.append_admitted(&resolved) {
-                    drop(queue);
+                if let Err(e) = journal.append_admitted(&resolved_spec(&job, &spec.qasm)) {
+                    drop(jobs);
                     obs.counter_add("journal.append_failed", 1);
                     return reject(
                         "service.rejected.invalid",
@@ -670,20 +657,9 @@ impl Server {
                 }
                 obs.counter_add("journal.records_written", 1);
             }
-            // Account for the job before a worker can see it: once pushed,
-            // it may finish — releasing all of this in `finish_job` —
-            // before this thread runs another line.
-            if let Ok(mut tokens) = state.tokens.lock() {
-                tokens.insert((conn, spec.id.clone()), token);
-            }
-            if let Ok(mut ids) = state.inflight_ids.lock() {
-                ids.insert(spec.id);
-            }
-            let inflight = state.inflight_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-            obs.gauge_set("service.inflight_bytes", inflight as f64);
-            state.pending.fetch_add(1, Ordering::SeqCst);
-            queue.push_back(job);
-            obs.gauge_set("service.queue_depth", queue.len() as f64);
+            jobs.insert(Arc::new(job));
+            obs.gauge_set("service.inflight_bytes", jobs.bytes as f64);
+            obs.gauge_set("service.queue_depth", jobs.queue.len() as f64);
         }
         obs.counter_add("service.accepted", 1);
         self.state.available.notify_one();
@@ -713,6 +689,9 @@ impl Server {
     /// Stops admission; already-accepted work keeps running. Idempotent.
     pub fn drain(&self) {
         self.state.draining.store(true, Ordering::SeqCst);
+        // Passing through the lock orders the wake-up after any worker
+        // that saw the flag unset has gone to sleep on the condvar.
+        drop(self.state.jobs.lock());
         self.state.available.notify_all();
     }
 
@@ -725,22 +704,24 @@ impl Server {
     /// Drains and blocks until every accepted job has been answered and
     /// every worker has exited.
     ///
-    /// Waits on the *pending counter* first, then joins worker handles:
-    /// a worker wedged inside a shot is escalated by the watchdog (its job
-    /// answered, its handle detached), so the pending counter always
-    /// reaches zero and join never hangs on a zombie thread.
+    /// Waits for the in-flight registry to empty first, then joins the
+    /// workers: a worker wedged inside a shot is escalated by the watchdog
+    /// (its job answered, its slot retired), so the registry always
+    /// empties and join never hangs on a zombie thread.
     pub fn join(&self) {
         self.drain();
         while self.pending() > 0 {
             std::thread::sleep(Duration::from_millis(2));
         }
-        self.state.available.notify_all();
-        let handles: Vec<JoinHandle<()>> = match self.state.handles.lock() {
-            Ok(mut handles) => handles.drain().map(|(_, handle)| handle).collect(),
+        let slots = match self.state.slots.lock() {
+            Ok(slots) => slots.clone(),
             Err(_) => return,
         };
-        for handle in handles {
-            let _ = handle.join();
+        for slot in slots {
+            let handle = slot.handle.lock().ok().and_then(|mut h| h.take());
+            if let Some(handle) = handle {
+                let _ = handle.join();
+            }
         }
         let watchdog = self.watchdog.lock().ok().and_then(|mut w| w.take());
         if let Some(watchdog) = watchdog {
@@ -754,7 +735,7 @@ impl Server {
     /// Accepted jobs not yet answered.
     #[must_use]
     pub fn pending(&self) -> u64 {
-        self.state.pending.load(Ordering::SeqCst)
+        self.state.pending()
     }
 
     /// The service metrics registry as JSON.
@@ -800,47 +781,46 @@ fn build_roles(
     Ok(roles)
 }
 
-/// Writes a response frame to a connection, counting (never propagating)
-/// write failures: a mid-job disconnect must not take a worker down, and
-/// the accepted-work accounting stays truthful either way.
-fn respond(state: &State, sink: &Sink, response: &Response) {
-    let payload = response.render();
-    let Ok(mut writer) = sink.lock() else {
-        state.observer.counter_add("service.disconnects", 1);
-        return;
-    };
-    if write_frame(&mut *writer, &payload).is_err() {
+/// Writes one response frame to a connection, counting (never
+/// propagating) write failures: a mid-job disconnect must not take a
+/// worker down, and the accepted-work accounting stays truthful either
+/// way.
+fn send(state: &State, sink: &Sink, payload: &[u8]) {
+    let written = sink
+        .lock()
+        .is_ok_and(|mut writer| write_frame(&mut *writer, payload).is_ok());
+    if !written {
         state.observer.counter_add("service.disconnects", 1);
     }
 }
 
-/// Spawns one supervised worker: a fresh slot (heartbeat + active-job
-/// surface), registered in the state's slot and handle tables.
+/// Spawns one supervised worker: a fresh slot (heartbeat, active job and
+/// thread handle), registered in the state's slot table.
 fn spawn_worker(state: &Arc<State>) {
-    let id = state.next_slot.fetch_add(1, Ordering::Relaxed);
     let slot = Arc::new(WorkerSlot {
-        id,
+        id: state.next_slot.fetch_add(1, Ordering::Relaxed),
         beat: Arc::new(AtomicU64::new(0)),
         retired: AtomicBool::new(false),
         active: Mutex::new(None),
+        handle: Mutex::new(None),
     });
-    if let Ok(mut slots) = state.slots.lock() {
-        slots.push(Arc::clone(&slot));
-    }
     let thread_state = Arc::clone(state);
     let thread_slot = Arc::clone(&slot);
     let handle = std::thread::spawn(move || worker_loop(&thread_state, &thread_slot));
-    if let Ok(mut handles) = state.handles.lock() {
-        handles.insert(id, handle);
+    if let Ok(mut slot_handle) = slot.handle.lock() {
+        *slot_handle = Some(handle);
+    }
+    if let Ok(mut slots) = state.slots.lock() {
+        slots.push(slot);
     }
 }
 
 /// Loads a journal recovery into the live state: completed `result`
 /// responses seed the idempotency index; admitted-but-unanswered jobs
-/// re-enter the queue on a null sink (their clients died with the old
-/// process — the journal's completion record is their response channel,
-/// served on retry) with fresh deadline clocks.
-fn replay_recovery(state: &Arc<State>, recovery: crate::journal::Recovery) {
+/// re-enter the queue with no client (theirs died with the old process —
+/// the journal's completion record is their response channel, served on
+/// retry) and fresh deadline clocks.
+fn replay_recovery(state: &State, recovery: crate::journal::Recovery) {
     let obs = &state.observer;
     obs.counter_add("journal.truncated_bytes", recovery.truncated_bytes);
     if let Ok(mut done) = state.completions.lock() {
@@ -854,21 +834,15 @@ fn replay_recovery(state: &Arc<State>, recovery: crate::journal::Recovery) {
     }
     let mut replayed = 0u64;
     for spec in recovery.incomplete {
-        match recovered_job(state, &spec) {
+        match recovered_job(&state.config, &spec) {
             Ok(job) => {
-                let bytes = job.bytes;
-                let id = job.id.clone();
-                if let Ok(mut queue) = state.queue.lock() {
-                    queue.push_back(job);
-                } else {
-                    continue;
+                // A journal that admitted one id twice still runs it once.
+                if let Ok(mut jobs) = state.jobs.lock() {
+                    if !jobs.inflight.contains_key(&job.id) {
+                        jobs.insert(Arc::new(job));
+                        replayed += 1;
+                    }
                 }
-                if let Ok(mut ids) = state.inflight_ids.lock() {
-                    ids.insert(id);
-                }
-                state.inflight_bytes.fetch_add(bytes, Ordering::Relaxed);
-                state.pending.fetch_add(1, Ordering::SeqCst);
-                replayed += 1;
             }
             Err(detail) => {
                 // A journaled admission that no longer materializes (say,
@@ -890,61 +864,33 @@ fn replay_recovery(state: &Arc<State>, recovery: crate::journal::Recovery) {
 }
 
 /// Rebuilds a runnable [`Job`] from a journaled (resolved) submission.
-fn recovered_job(state: &Arc<State>, spec: &JobSpec) -> Result<Job, String> {
+/// The QASM, scheme and roles are parsed and validated again; the
+/// admission limits are not, so the job that was admitted is the job
+/// that runs.
+fn recovered_job(config: &Config, spec: &JobSpec) -> Result<Job, String> {
     let circuit = from_qasm(&spec.qasm).map_err(|e| e.to_string())?;
     circuit.validate().map_err(|e| e.to_string())?;
-    let scheme = match spec.scheme.as_deref() {
-        None | Some("dynamic2") | Some("dynamic-2") => DynamicScheme::Dynamic2,
-        Some("direct") => DynamicScheme::Direct,
-        Some("dynamic1") | Some("dynamic-1") => DynamicScheme::Dynamic1,
-        Some(other) => return Err(format!("unknown scheme '{other}'")),
-    };
+    let scheme = spec
+        .scheme
+        .as_deref()
+        .map_or(Ok(DynamicScheme::Dynamic2), str::parse)?;
     let roles = build_roles(&circuit, &spec.answer, &spec.data, &spec.ancilla)?;
-    let bytes = statevector_bytes(circuit.num_qubits());
-    Ok(Job {
-        conn: u64::MAX,
-        id: spec.id.clone(),
-        circuit,
-        answer: spec.answer.clone(),
-        data: spec.data.clone(),
-        ancilla: spec.ancilla.clone(),
-        roles,
-        scheme,
-        shots: spec.shots.unwrap_or(state.config.default_shots),
-        seed: spec.seed.unwrap_or(state.config.default_seed),
-        deadline: spec
-            .deadline_ms
-            .map_or(state.config.default_deadline, Duration::from_millis),
-        accepted: Instant::now(),
-        token: CancelToken::new(),
-        sink: Arc::new(Mutex::new(Box::new(std::io::sink()))),
-        bytes,
-        answered: Arc::new(AtomicBool::new(false)),
-        recovered: true,
-    })
+    Ok(Job::new(spec, circuit, roles, scheme, config, None))
 }
 
-/// Settles one job exactly once: sends the response (skipped for
-/// recovered jobs, whose connection died with the old process), journals
-/// the completion, seeds the idempotency index, and releases the job's
-/// accounting (token, in-flight id, memory reservation, pending count).
+/// Settles one job exactly once: sends the response (to the submitting
+/// connection, if the job has one), seeds the idempotency index, journals
+/// the completion, and takes the job out of the in-flight registry.
 /// Returns `false` when the other contender — worker vs watchdog — got
 /// there first.
-fn finish_job(state: &Arc<State>, job: &ActiveJob, response: &Response) -> bool {
+fn finish_job(state: &State, job: &Job, response: &Response) -> bool {
     if job.answered.swap(true, Ordering::SeqCst) {
         return false;
     }
     let obs = &state.observer;
     let payload = response.render();
-    if !job.recovered {
-        match job.sink.lock() {
-            Ok(mut writer) => {
-                if write_frame(&mut *writer, &payload).is_err() {
-                    obs.counter_add("service.disconnects", 1);
-                }
-            }
-            Err(_) => obs.counter_add("service.disconnects", 1),
-        }
+    if let Some((_, sink)) = &job.client {
+        send(state, sink, &payload);
     }
     if matches!(response, Response::Result(_)) {
         if let Ok(mut done) = state.completions.lock() {
@@ -958,72 +904,51 @@ fn finish_job(state: &Arc<State>, job: &ActiveJob, response: &Response) -> bool 
             obs.counter_add("journal.append_failed", 1);
         }
     }
-    if let Ok(mut tokens) = state.tokens.lock() {
-        tokens.remove(&(job.conn, job.id.clone()));
+    if let Ok(mut jobs) = state.jobs.lock() {
+        if let Some(done) = jobs.inflight.remove(&job.id) {
+            jobs.bytes -= done.bytes;
+        }
+        obs.gauge_set("service.inflight_bytes", jobs.bytes as f64);
     }
-    if let Ok(mut ids) = state.inflight_ids.lock() {
-        ids.remove(&job.id);
-    }
-    let before = state.inflight_bytes.fetch_sub(job.bytes, Ordering::Relaxed);
-    obs.gauge_set(
-        "service.inflight_bytes",
-        before.saturating_sub(job.bytes) as f64,
-    );
-    state.pending.fetch_sub(1, Ordering::SeqCst);
     true
-}
-
-/// The watchdog-visible view of a popped job.
-fn job_view(job: &Job) -> ActiveJob {
-    ActiveJob {
-        conn: job.conn,
-        id: job.id.clone(),
-        shots: job.shots,
-        token: job.token.clone(),
-        sink: Arc::clone(&job.sink),
-        answered: Arc::clone(&job.answered),
-        bytes: job.bytes,
-        recovered: job.recovered,
-    }
 }
 
 /// One worker: pop, run, answer — until drain empties the queue or the
 /// watchdog retires the slot.
-fn worker_loop(state: &Arc<State>, slot: &Arc<WorkerSlot>) {
+fn worker_loop(state: &Arc<State>, slot: &WorkerSlot) {
     loop {
         if slot.retired.load(Ordering::SeqCst) {
             return;
         }
         let job = {
-            let Ok(mut queue) = state.queue.lock() else {
+            let Ok(mut jobs) = state.jobs.lock() else {
                 return;
             };
             loop {
-                if let Some(job) = queue.pop_front() {
+                if let Some(job) = jobs.queue.pop_front() {
                     state
                         .observer
-                        .gauge_set("service.queue_depth", queue.len() as f64);
+                        .gauge_set("service.queue_depth", jobs.queue.len() as f64);
                     break Some(job);
                 }
                 if state.draining.load(Ordering::SeqCst) {
                     break None;
                 }
-                match state.available.wait(queue) {
-                    Ok(q) => queue = q,
+                match state.available.wait(jobs) {
+                    Ok(guard) => jobs = guard,
                     Err(_) => return,
                 }
             }
         };
         let Some(job) = job else { return };
-        let view = job_view(&job);
         slot.beat.fetch_add(1, Ordering::Relaxed);
         if let Ok(mut active) = slot.active.lock() {
-            *active = Some(view.clone());
+            *active = Some(Arc::clone(&job));
         }
         let queue_wait = job.accepted.elapsed();
         let started = Instant::now();
         let response = run_job(state, &job, queue_wait, &slot.beat);
-        let settled = finish_job(state, &view, &response);
+        let settled = finish_job(state, &job, &response);
         if let Ok(mut active) = slot.active.lock() {
             *active = None;
         }
@@ -1073,7 +998,7 @@ enum Stage {
 fn watchdog_loop(state: &Arc<State>) {
     let mut watches: HashMap<u64, Watch> = HashMap::new();
     loop {
-        if state.draining.load(Ordering::SeqCst) && state.pending.load(Ordering::SeqCst) == 0 {
+        if state.draining.load(Ordering::SeqCst) && state.pending() == 0 {
             return;
         }
         std::thread::sleep(state.config.watchdog_interval);
@@ -1120,9 +1045,9 @@ fn watchdog_loop(state: &Arc<State>) {
                     // whole further interval — the worker is wedged inside
                     // a shot. Retire it (it must not serve jobs alongside
                     // its replacement if it ever wakes), answer its job
-                    // with a typed supervisor error, detach its handle
-                    // (joining a wedged thread would hang the drain), and
-                    // respawn a fresh worker.
+                    // with a typed supervisor error, drop its slot — and
+                    // with it the handle, since joining a wedged thread
+                    // would hang the drain — and respawn a fresh worker.
                     slot.retired.store(true, Ordering::SeqCst);
                     let response = Response::Error {
                         id: Some(job.id.clone()),
@@ -1135,9 +1060,6 @@ fn watchdog_loop(state: &Arc<State>) {
                     finish_job(state, &job, &response);
                     if let Ok(mut slots) = state.slots.lock() {
                         slots.retain(|s| s.id != slot.id);
-                    }
-                    if let Ok(mut handles) = state.handles.lock() {
-                        drop(handles.remove(&slot.id));
                     }
                     state.observer.counter_add("supervisor.respawns", 1);
                     watches.remove(&slot.id);

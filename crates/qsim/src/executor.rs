@@ -35,8 +35,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A configurable shot-based simulator.
@@ -78,19 +78,17 @@ pub struct Executor {
 pub enum Engine {
     /// The classic per-shot loop: every shot re-evolves the statevector.
     Shots,
-    /// The prefix-sharing branch-tree engine (see [`crate::prefix`]):
-    /// evolve once up to each stochastic branch point, then let each shot
-    /// walk the branch tree on its own RNG stream. Falls back to
-    /// [`Engine::Shots`] whenever semantics require the per-shot loop
-    /// (tracer, fault hook, gate/idle noise, a drift policy or failed-shot
-    /// budget, or a tree that fails to build). Deadlines and cancel tokens
-    /// stay eligible: the tree build and shot walk poll them cooperatively.
-    Prefix,
-    /// Pick [`Engine::Prefix`] whenever it is applicable, else
-    /// [`Engine::Shots`]. Because the two are bit-identical at a fixed
-    /// seed, the choice is an implementation detail; this is the default.
+    /// The prefix-sharing branch-tree engine (see [`crate::prefix`]),
+    /// and the default: evolve once up to each stochastic branch point,
+    /// then let each shot walk the branch tree on its own RNG stream.
+    /// Falls back to [`Engine::Shots`] whenever semantics require the
+    /// per-shot loop (tracer, fault hook, gate/idle noise, a drift policy
+    /// or failed-shot budget, or a tree that fails to build); the two are
+    /// bit-identical at a fixed seed, so the fallback is invisible in the
+    /// results. Deadlines and cancel tokens stay eligible: the tree build
+    /// and shot walk poll them cooperatively.
     #[default]
-    Auto,
+    Prefix,
 }
 
 impl fmt::Display for Engine {
@@ -98,19 +96,17 @@ impl fmt::Display for Engine {
         match self {
             Engine::Shots => write!(f, "shots"),
             Engine::Prefix => write!(f, "prefix"),
-            Engine::Auto => write!(f, "auto"),
         }
     }
 }
 
 impl Engine {
-    /// Parses the CLI spelling (`shots` / `prefix` / `auto`).
+    /// Parses the CLI spelling (`shots` / `prefix`).
     #[must_use]
     pub fn parse(name: &str) -> Option<Engine> {
         match name {
             "shots" => Some(Engine::Shots),
             "prefix" => Some(Engine::Prefix),
-            "auto" => Some(Engine::Auto),
             _ => None,
         }
     }
@@ -255,12 +251,6 @@ enum DriftAction {
     Abort,
 }
 
-const TERMINATION_COMPLETED: u8 = 0;
-const TERMINATION_DEADLINE: u8 = 1;
-const TERMINATION_FAILED_BUDGET: u8 = 2;
-const TERMINATION_ABORTED: u8 = 3;
-const TERMINATION_CANCELLED: u8 = 4;
-
 /// Shared early-termination state for one resilient run: a stop flag the
 /// workers poll between shots, the cross-worker failed-shot counter, and
 /// the first termination reason recorded.
@@ -270,19 +260,14 @@ struct RunBudget {
     max_failed: Option<u64>,
     stop: AtomicBool,
     failed: AtomicU64,
-    termination: AtomicU8,
+    termination: OnceLock<Termination>,
 }
 
 impl RunBudget {
     /// Requests termination with `reason`; the first caller wins, later
     /// reasons are dropped.
-    fn terminate(&self, reason: u8) {
-        let _ = self.termination.compare_exchange(
-            TERMINATION_COMPLETED,
-            reason,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
+    fn terminate(&self, reason: Termination) {
+        let _ = self.termination.set(reason);
         self.stop.store(true, Ordering::Relaxed);
     }
 
@@ -292,19 +277,16 @@ impl RunBudget {
         let failed = self.failed.fetch_add(1, Ordering::Relaxed) + 1;
         let exhausted = self.max_failed.is_some_and(|max| failed > max);
         if exhausted {
-            self.terminate(TERMINATION_FAILED_BUDGET);
+            self.terminate(Termination::FailedShotBudget);
         }
         exhausted
     }
 
     fn termination(&self) -> Termination {
-        match self.termination.load(Ordering::Relaxed) {
-            TERMINATION_DEADLINE => Termination::Deadline,
-            TERMINATION_FAILED_BUDGET => Termination::FailedShotBudget,
-            TERMINATION_ABORTED => Termination::Aborted,
-            TERMINATION_CANCELLED => Termination::Cancelled,
-            _ => Termination::Completed,
-        }
+        self.termination
+            .get()
+            .copied()
+            .unwrap_or(Termination::Completed)
     }
 }
 
@@ -495,11 +477,11 @@ impl Executor {
             cancel: None,
             heartbeat: None,
             fault: None,
-            engine: Engine::Auto,
+            engine: Engine::Prefix,
         }
     }
 
-    /// Selects the shot engine (default [`Engine::Auto`]).
+    /// Selects the shot engine (default [`Engine::Prefix`]).
     ///
     /// The engines are bit-identical at a fixed seed — same [`Counts`],
     /// same [`Executor::run_memory`] rows, same observer counters — so this
@@ -518,8 +500,8 @@ impl Executor {
 
     /// The engine every entry point ([`Executor::run`],
     /// [`Executor::run_memory`], [`Executor::run_resilient`]) would use on
-    /// `circuit` under the current configuration: never [`Engine::Auto`],
-    /// always the resolved [`Engine::Prefix`] or [`Engine::Shots`].
+    /// `circuit` under the current configuration: [`Engine::Prefix`] when
+    /// the branch tree builds, else the [`Engine::Shots`] fallback.
     #[must_use]
     pub fn resolve_engine(&self, circuit: &Circuit) -> Engine {
         match self.prefix_tree(circuit, || false) {
@@ -572,7 +554,7 @@ impl Executor {
             max_failed: self.max_failed,
             stop: AtomicBool::new(false),
             failed: AtomicU64::new(0),
-            termination: AtomicU8::new(TERMINATION_COMPLETED),
+            termination: OnceLock::new(),
         }
     }
 
@@ -593,13 +575,13 @@ impl Executor {
         }
         if let Some(token) = &self.cancel {
             if token.is_cancelled() {
-                budget.terminate(TERMINATION_CANCELLED);
+                budget.terminate(Termination::Cancelled);
                 return true;
             }
         }
         if let Some(deadline) = budget.deadline {
             if budget.start.elapsed() >= deadline {
-                budget.terminate(TERMINATION_DEADLINE);
+                budget.terminate(Termination::Deadline);
                 return true;
             }
         }
@@ -1047,7 +1029,7 @@ impl Executor {
             if let Some(budget) = plan.budget {
                 self.beat();
                 if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    budget.terminate(TERMINATION_CANCELLED);
+                    budget.terminate(Termination::Cancelled);
                     break;
                 }
                 if since_poll == 0 && self.poll_budget(budget) {
@@ -1138,7 +1120,7 @@ impl Executor {
             }
             Ok(ShotControl::Abort) => {
                 if let Some(budget) = plan.budget {
-                    budget.terminate(TERMINATION_ABORTED);
+                    budget.terminate(Termination::Aborted);
                 }
                 if let Some(t) = lt.as_mut() {
                     t.abort_open("budget.abort");
@@ -1840,7 +1822,7 @@ mod tests {
 
     #[test]
     fn engine_names_round_trip() {
-        for engine in [Engine::Shots, Engine::Prefix, Engine::Auto] {
+        for engine in [Engine::Shots, Engine::Prefix] {
             assert_eq!(Engine::parse(&engine.to_string()), Some(engine));
         }
         assert_eq!(Engine::parse("warp"), None);

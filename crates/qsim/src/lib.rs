@@ -11,7 +11,7 @@
 //!   with optional trajectory noise. Two engines behind one determinism
 //!   contract: the per-shot loop, and the prefix-sharing branch-tree
 //!   engine ([`prefix`]) that evolves each stochastic branch once and
-//!   samples shots by walking the tree ([`Engine`], default `Auto`);
+//!   samples shots by walking the tree ([`Engine`], default `Prefix`);
 //! * [`branch::exact_distribution`] — the exact, shot-noise-free outcome
 //!   distribution of a dynamic circuit: the prefix engine's branch tree,
 //!   built under ideal noise without its node budget;

@@ -313,8 +313,9 @@ fi
 # while serving everything else bit-identically to a fault-free server;
 # (b) a real dqctd on loopback, with injected 20 ms/shot latency on every
 # job, must shed a 2x overload with typed rejections (nonzero), answer
-# every accepted job (zero dropped), and drain cleanly on SIGTERM with
-# exit code 0.
+# every accepted job (zero dropped), report an empty in-flight registry
+# (service.inflight_bytes and service.queue_depth both 0), and drain
+# cleanly on SIGTERM with exit code 0.
 if [ "$FAST" -eq 0 ]; then
     echo "==> service-load gate"
     run cargo run -q --release --offline -p bench --bin service_load -- \
@@ -340,6 +341,28 @@ if [ "$FAST" -eq 0 ]; then
     SERVICE_PORT="$(cat "$SERVICE_DIR/port")"
     run cargo run -q --release --offline -p bench --bin service_load -- \
         --live "127.0.0.1:$SERVICE_PORT" --jobs 32 --expect-shed
+    # Once every accepted job is answered, the daemon's in-flight registry
+    # must be empty: both of its gauges read 0 within a bounded wait.
+    echo "==> live registry gate: in-flight bytes and queue depth return to 0"
+    registry_empty=0
+    registry_deadline=$((SECONDS + 5))
+    while [ "$SECONDS" -le "$registry_deadline" ]; do
+        live_metrics="$(cargo run -q --release --offline -p dqct-cli --bin dqct -- \
+            client --addr "127.0.0.1:$SERVICE_PORT" metrics 2>/dev/null || true)"
+        if grep -q '"service.inflight_bytes":0[,}]' <<<"$live_metrics" &&
+            grep -q '"service.queue_depth":0[,}]' <<<"$live_metrics"; then
+            registry_empty=1
+            break
+        fi
+        sleep 0.1
+    done
+    if [ "$registry_empty" -ne 1 ]; then
+        echo "live service gate FAILED: the in-flight registry did not empty after the load" >&2
+        grep -o '"service\.\(inflight_bytes\|queue_depth\)":[^,}]*' <<<"$live_metrics" >&2 || true
+        kill "$SERVICE_PID" 2>/dev/null || true
+        exit 1
+    fi
+    echo "    service.inflight_bytes and service.queue_depth read 0"
     kill -TERM "$SERVICE_PID"
     if ! wait "$SERVICE_PID"; then
         echo "live service gate FAILED: dqctd did not drain cleanly on SIGTERM" >&2
