@@ -2,8 +2,12 @@
 //!
 //! Reads a traditional circuit in OpenQASM 3 (the subset `qcir::qasm`
 //! round-trips), applies the dynamic transformation, and writes the dynamic
-//! circuit back as OpenQASM 3. The argument parsing and driver live in this
-//! library so they are unit-testable; `main.rs` is a thin wrapper.
+//! circuit back as OpenQASM 3. The lowering is one [`dqc::Pipeline`] run,
+//! the path `dqctd` also takes: transform or reuse plan, the mitigation
+//! rewrite, the exact check under `--verify` and the resource summaries,
+//! with its `pipeline.*` spans and trace phases. The argument parsing and
+//! driver live in this library so they are unit-testable; `main.rs` is a
+//! thin wrapper.
 //!
 //! ```text
 //! dqct --data 0,1 --answer 2 [--ancilla 3,4] [--scheme direct|dynamic1|dynamic2]
@@ -18,11 +22,7 @@
 //! `dqct client ...` (see [`client`]) instead talks to a running `dqctd`
 //! batch service over its length-prefixed TCP protocol.
 
-use dqc::{
-    mitigate_observed, plan_with_scheme_observed, transform_with_scheme_observed, verify,
-    CostModel, DynamicScheme, MitigationOptions, QubitRoles, ReadoutCalibration, ResourceSummary,
-    ReuseMode, TransformOptions,
-};
+use dqc::{DynamicScheme, MitigationOptions, Pipeline, QubitRoles, ReadoutCalibration, ReuseMode};
 use qcir::qasm::{from_qasm, to_qasm};
 use qcir::Qubit;
 use qfault::FaultPlan;
@@ -385,19 +385,16 @@ pub fn usage() -> String {
         .to_string()
 }
 
-/// Runs the transformation on QASM text, returning the full output text.
+/// Runs the transformation on QASM text through one [`Pipeline::run`]
+/// (and, when metrics or a trace are asked for, the shot executor),
+/// returning the full output text.
 ///
 /// # Errors
 ///
-/// Returns a message for parse errors, role mismatches or unrealizable
-/// circuits.
+/// Returns a message for parse errors, structurally invalid circuits, role
+/// mismatches or unrealizable circuits.
 pub fn run(qasm_text: &str, opts: &CliOptions) -> Result<String, String> {
     let circuit = from_qasm(qasm_text).map_err(|e| e.to_string())?;
-    // Ingestion boundary: reject structurally invalid circuits with a typed
-    // one-line message instead of letting them panic deeper in the pipeline.
-    circuit
-        .validate()
-        .map_err(|e| format!("invalid input circuit: {e}"))?;
     // Default: every unlisted qubit is data.
     let mut data: Vec<Qubit> = opts.data.iter().map(|&i| Qubit::new(i)).collect();
     if data.is_empty() {
@@ -424,50 +421,23 @@ pub fn run(qasm_text: &str, opts: &CliOptions) -> Result<String, String> {
     } else {
         Tracer::disabled()
     };
-    // Pipeline-phase spans ride on the trace's top lane. On an error return
-    // the open span is simply dropped — no trace file is written then.
-    let mut phases = tracer.top_local();
-    if let Some(t) = phases.as_mut() {
-        t.begin("pipeline.transform");
+    // The pipeline is the ingestion boundary: it rejects a structurally
+    // invalid circuit with a one-line `invalid input circuit: ...` before
+    // anything deeper can panic. Its phase spans ride on the trace's top
+    // lane and are submitted before the simulation's, so the merged trace
+    // reads pipeline-first; on an error no trace file is written.
+    let mut pipeline = Pipeline::new()
+        .scheme(opts.scheme)
+        .mitigate(opts.mitigate.clone())
+        .verify(opts.verify)
+        .observer(obs.clone())
+        .tracer(tracer.clone());
+    if let Some(mode) = opts.reuse {
+        pipeline = pipeline.reuse(mode);
     }
-    let mut reuse_line = None;
-    let dynamic = match opts.reuse {
-        Some(mode) => {
-            let (dynamic, report) = plan_with_scheme_observed(
-                &circuit,
-                &roles,
-                opts.scheme,
-                mode,
-                &CostModel::default(),
-                &TransformOptions::default(),
-                &obs,
-            )
-            .map_err(|e| e.to_string())?;
-            reuse_line = Some(format!("// reuse: {report}"));
-            dynamic
-        }
-        None => transform_with_scheme_observed(
-            &circuit,
-            &roles,
-            opts.scheme,
-            &TransformOptions::default(),
-            &obs,
-        )
-        .map_err(|e| e.to_string())?,
-    };
-    // Rewrite passes (verified resets, repeated measurements) widen the
-    // classical register; readout calibration is counts post-processing only.
-    let mitigated = if opts.mitigate.reset_verify.is_some() || opts.mitigate.meas_repeat.is_some() {
-        Some(mitigate_observed(dynamic.circuit(), &opts.mitigate, &obs))
-    } else {
-        None
-    };
-    let hardened = mitigated
-        .as_ref()
-        .map_or(dynamic.circuit(), |m| m.circuit());
-    if let Some(t) = phases.as_mut() {
-        t.end();
-    }
+    let lowered = pipeline.run(&circuit, &roles).map_err(|e| e.to_string())?;
+    let mitigated = lowered.mitigated.as_ref();
+    let hardened = mitigated.map_or(lowered.dynamic.circuit(), |m| m.circuit());
     let noise = match opts.noise {
         Some(scale) => Some(NoiseModel::try_device_like(scale).map_err(|e| e.to_string())?),
         None => None,
@@ -480,18 +450,16 @@ pub fn run(qasm_text: &str, opts: &CliOptions) -> Result<String, String> {
             let _ = writeln!(out, "// {line}");
         }
         let _ = writeln!(out, "// dynamic ({}):", opts.scheme);
-        for line in qcir::ascii::draw(dynamic.circuit()).lines() {
+        for line in qcir::ascii::draw(lowered.dynamic.circuit()).lines() {
             let _ = writeln!(out, "// {line}");
         }
     }
-    if let Some(line) = &reuse_line {
-        let _ = writeln!(out, "{line}");
+    if let Some(report) = &lowered.reuse {
+        let _ = writeln!(out, "// reuse: {report}");
     }
     if opts.stats {
-        let tradi = ResourceSummary::of_circuit(&circuit);
-        let dyna = ResourceSummary::of_dynamic(&dynamic);
-        let _ = writeln!(out, "// traditional: {tradi}");
-        let _ = writeln!(out, "// dynamic:     {dyna}");
+        let _ = writeln!(out, "// traditional: {}", lowered.traditional);
+        let _ = writeln!(out, "// dynamic:     {}", lowered.resources);
     }
     if opts.analyze {
         match dqc::analysis::analyze(&circuit, &roles) {
@@ -519,24 +487,12 @@ pub fn run(qasm_text: &str, opts: &CliOptions) -> Result<String, String> {
             }
         }
     }
-    if opts.verify {
-        if let Some(t) = phases.as_mut() {
-            t.begin("pipeline.verify");
-        }
-        let report = verify::compare_observed(&circuit, &roles, &dynamic, &obs);
-        if let Some(t) = phases.as_mut() {
-            t.end();
-        }
+    if let Some(report) = &lowered.report {
         let _ = writeln!(
             out,
             "// verify: tvd = {:.6}, expected outcome '{}' p_tradi = {:.4} p_dyn = {:.4}",
             report.tvd, report.expected_outcome, report.p_traditional, report.p_dynamic
         );
-    }
-    // Phase spans are submitted before the simulation so the merged trace
-    // always reads pipeline-first, executor-second.
-    if let Some(t) = phases.take() {
-        tracer.submit(t.into_events());
     }
     if wants_sim {
         // Run the (possibly hardened) dynamic circuit through the shot
@@ -573,9 +529,7 @@ pub fn run(qasm_text: &str, opts: &CliOptions) -> Result<String, String> {
             "run: completed={} failed={} discarded={} termination={}",
             report.completed, report.failed, report.discarded, report.termination
         ));
-        let resolved = mitigated
-            .as_ref()
-            .map(|m| m.resolve_observed(&counts, &obs));
+        let resolved = mitigated.map(|m| m.resolve_observed(&counts, &obs));
         if let Some(r) = &resolved {
             run_lines.push(format!(
                 "mitigate: votes_flipped={} reset_verify_fired={}",
@@ -587,9 +541,7 @@ pub fn run(qasm_text: &str, opts: &CliOptions) -> Result<String, String> {
             let model = noise
                 .as_ref()
                 .unwrap_or_else(|| unreachable!("parse_args requires --noise for readout-cal"));
-            let width = mitigated
-                .as_ref()
-                .map_or(hardened.num_clbits(), |m| m.original_clbits());
+            let width = mitigated.map_or(hardened.num_clbits(), |m| m.original_clbits());
             let corrected = ReadoutCalibration::calibrate(
                 model,
                 width,
@@ -676,6 +628,17 @@ h q[0];
 h q[1];
 cx q[1], q[2];
 h q[1];
+";
+
+    /// The circuit of the check.sh determinism gates: one Toffoli, so
+    /// dynamic-2 lowering adds an ancilla wire.
+    const GATE_QASM: &str = "\
+OPENQASM 3.0;
+include \"stdgates.inc\";
+qubit[3] q;
+h q[0];
+h q[1];
+ccx q[0], q[1], q[2];
 ";
 
     #[test]
@@ -1178,28 +1141,26 @@ h q[1];
         // The circuit of the check.sh determinism gates, with every
         // instrumented stage switched on: a span no longer opened, or a
         // metric renamed, changes this set.
-        const GATE_QASM: &str = "\
-OPENQASM 3.0;
-include \"stdgates.inc\";
-qubit[3] q;
-h q[0];
-h q[1];
-ccx q[0], q[1], q[2];
-";
-        let opts = parse_args(&args(
-            "--answer 2 --verify --reuse 2 --mitigate=reset-verify,meas-repeat=3 \
-             --metrics-out - --shots 256 --seed 11 --threads 1",
-        ))
-        .unwrap();
-        let doc = run(GATE_QASM, &opts).unwrap();
-        qobs::json::validate(&doc).expect("metrics must be valid JSON");
-        let names = metric_names(&doc);
+        let surface = |verify: &str| {
+            let opts = parse_args(&args(&format!(
+                "--answer 2 {verify} --reuse 2 --mitigate=reset-verify,meas-repeat=3 \
+                 --metrics-out - --shots 256 --seed 11 --threads 1"
+            )))
+            .unwrap();
+            let doc = run(GATE_QASM, &opts).unwrap();
+            qobs::json::validate(&doc).expect("metrics must be valid JSON");
+            metric_names(&doc)
+        };
+        let names = surface("--verify");
         let section = |s: &str| names.get(s).cloned().unwrap_or_default();
         assert_eq!(
             section("histograms"),
             [
                 "dqc.mitigate_ns",
                 "executor.run_resilient_ns",
+                "pipeline.account_ns",
+                "pipeline.transform_ns",
+                "pipeline.verify_ns",
                 "transform.emit_ns",
                 "transform.lower_ns",
                 "transform.peephole_ns",
@@ -1211,7 +1172,12 @@ ccx q[0], q[1], q[2];
         );
         assert_eq!(
             section("gauges"),
-            ["executor.qubits", "reuse.k_selected", "reuse.lanes"]
+            [
+                "executor.qubits",
+                "pipeline.last_tvd",
+                "reuse.k_selected",
+                "reuse.lanes"
+            ]
         );
         assert_eq!(
             section("counters"),
@@ -1235,6 +1201,7 @@ ccx q[0], q[1], q[2];
                 "mitigate.scratch_clbits",
                 "mitigate.vote_groups",
                 "mitigate.votes_flipped",
+                "pipeline.runs",
                 "prefix.leaves",
                 "prefix.nodes",
                 "prefix.pruned_branches",
@@ -1243,6 +1210,20 @@ ccx q[0], q[1], q[2];
             ]
         );
         assert_eq!(names.len(), 3, "{names:?}");
+        // Without --verify the check, its spans and its gauge are absent,
+        // and nothing else changes.
+        let mut unverified = names.clone();
+        for list in unverified.values_mut() {
+            list.retain(|name| {
+                ![
+                    "verify.equivalence_ns",
+                    "pipeline.verify_ns",
+                    "pipeline.last_tvd",
+                ]
+                .contains(&name.as_str())
+            });
+        }
+        assert_eq!(surface(""), unverified);
     }
 
     #[test]
@@ -1319,6 +1300,13 @@ ccx q[0], q[1], q[2];
         let cyclic = "qubit[3] q;\ncx q[0], q[1];\ncx q[1], q[0];\n";
         let err = run(cyclic, &opts).unwrap_err();
         assert!(err.contains("cyclic"));
+        // A role error describes the input, not dynamic-2's widened circuit.
+        let opts = parse_args(&args("--answer 3")).unwrap();
+        let err = run(GATE_QASM, &opts).unwrap_err();
+        assert_eq!(
+            err,
+            "invalid qubit roles: q3 does not exist in a 3-qubit circuit"
+        );
     }
 
     #[test]

@@ -1,22 +1,30 @@
-//! One-stop pipeline: transform, verify and account in a single call.
+//! One-stop pipeline: transform, mitigate, verify and account in a single
+//! call.
 //!
-//! [`Pipeline`] bundles the scheme choice, transformation options and
-//! verification into the call shape most users want: give it a traditional
-//! circuit and a role partition, get back the dynamic circuit together with
-//! its equivalence report and resource comparison.
+//! [`Pipeline`] bundles the scheme choice, reuse planning, the mitigation
+//! rewrite and verification into the call shape most users want: give it a
+//! traditional circuit and a role partition, get back the dynamic circuit
+//! together with its hardened form, its equivalence report and its resource
+//! comparison. `dqct` and `dqctd` both lower their jobs through it.
 
 use crate::cost::{CostModel, ResourceSummary};
 use crate::error::DqcError;
+use crate::mitigate::{mitigate_observed, MitigatedCircuit, MitigationOptions};
 use crate::reuse::{plan_with_scheme_observed, ReuseMode, ReuseReport};
 use crate::roles::QubitRoles;
 use crate::scheme::{transform_with_scheme_observed, DynamicScheme};
 use crate::transform::{DynamicCircuit, TransformOptions};
 use crate::verify::{self, EquivalenceReport};
 use qcir::Circuit;
-use qobs::{Observer, Tracer};
+use qobs::{LocalTrace, Observer, Tracer};
 use std::fmt;
 
-/// A configured transform-verify-account pipeline.
+/// A configured transform-mitigate-verify-account pipeline.
+///
+/// Its six settings are the scheme, reuse planning, the mitigation
+/// rewrite, the exact check, the observer and the tracer. Transformation
+/// always uses [`TransformOptions::default`] and reuse planning
+/// [`CostModel::default`], the only values any caller sets.
 ///
 /// # Examples
 ///
@@ -34,17 +42,17 @@ use std::fmt;
 /// let result = Pipeline::new()
 ///     .scheme(DynamicScheme::Dynamic2)
 ///     .run(&circ, &QubitRoles::data_plus_answer(3))?;
-/// assert!(result.report.equivalent(1e-10));
+/// let report = result.report.as_ref().expect("verification is on by default");
+/// assert!(report.equivalent(1e-10));
 /// assert_eq!(result.dynamic.circuit().num_qubits(), 2);
 /// # Ok::<(), dqc::DqcError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pipeline {
     scheme: DynamicScheme,
-    options: TransformOptions,
-    compare_answers: bool,
     reuse: Option<ReuseMode>,
-    cost: CostModel,
+    mitigate: MitigationOptions,
+    verify: bool,
     observer: Observer,
     tracer: Tracer,
 }
@@ -57,15 +65,15 @@ impl Default for Pipeline {
 
 impl Pipeline {
     /// A pipeline using [`DynamicScheme::Dynamic2`] (the paper's accurate
-    /// scheme) and default options.
+    /// scheme), no reuse planning, no mitigation, and the exact
+    /// equivalence check switched on.
     #[must_use]
     pub fn new() -> Self {
         Self {
             scheme: DynamicScheme::Dynamic2,
-            options: TransformOptions::default(),
-            compare_answers: false,
             reuse: None,
-            cost: CostModel::default(),
+            mitigate: MitigationOptions::none(),
+            verify: true,
             observer: Observer::disabled(),
             tracer: Tracer::disabled(),
         }
@@ -82,14 +90,6 @@ impl Pipeline {
         self
     }
 
-    /// Overrides the cost model scoring reuse plans (only consulted when
-    /// [`Pipeline::reuse`] is set).
-    #[must_use]
-    pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Selects the Toffoli realization scheme.
     #[must_use]
     pub fn scheme(mut self, scheme: DynamicScheme) -> Self {
@@ -97,18 +97,24 @@ impl Pipeline {
         self
     }
 
-    /// Overrides the transformation options.
+    /// Hardens the transformed circuit with the rewrite passes in
+    /// `options` (verified resets, measurement repetition; see
+    /// [`mitigate`](crate::mitigate())). The rewrite runs inside the
+    /// transform stage and fills [`PipelineResult::mitigated`]; readout
+    /// calibration post-processes counts, so options selecting only
+    /// `readout_cal` leave it `None`.
     #[must_use]
-    pub fn options(mut self, options: TransformOptions) -> Self {
-        self.options = options;
+    pub fn mitigate(mut self, options: MitigationOptions) -> Self {
+        self.mitigate = options;
         self
     }
 
-    /// Also measures the answer qubits when verifying (for algorithms whose
-    /// output lives on answer qubits).
+    /// Switches the exact equivalence check on (the default) or off. Off,
+    /// [`PipelineResult::report`] is `None` and no verify span or phase is
+    /// recorded.
     #[must_use]
-    pub fn compare_answers(mut self, yes: bool) -> Self {
-        self.compare_answers = yes;
+    pub fn verify(mut self, yes: bool) -> Self {
+        self.verify = yes;
         self
     }
 
@@ -116,7 +122,8 @@ impl Pipeline {
     /// a span (`pipeline.transform`, `pipeline.verify`, `pipeline.account`)
     /// into its registry's `<span>_ns` histograms, the transformation
     /// records its finer-grained spans (see [`crate::transform_observed`]),
-    /// and each run adds to `pipeline.runs` and sets `pipeline.last_tvd`.
+    /// and each run adds to `pipeline.runs` and, when it verified, sets
+    /// `pipeline.last_tvd`.
     ///
     /// The default is [`Observer::disabled`], under which every
     /// instrumentation call is a no-op branch.
@@ -147,81 +154,89 @@ impl Pipeline {
     /// Returns [`DqcError::InvalidCircuit`] when the input fails
     /// [`Circuit::validate`] (the pipeline is an ingestion boundary for
     /// untrusted QASM), and otherwise propagates every error of
-    /// [`transform_with_scheme`](crate::transform_with_scheme).
+    /// [`transform_with_scheme`](crate::transform_with_scheme) or, with
+    /// [`Pipeline::reuse`], of [`plan_with_scheme`](crate::plan_with_scheme).
     pub fn run(&self, circuit: &Circuit, roles: &QubitRoles) -> Result<PipelineResult, DqcError> {
         circuit
             .validate()
             .map_err(|source| DqcError::InvalidCircuit { source })?;
         let obs = &self.observer;
         let mut phases = self.tracer.top_local();
-        let (dynamic, reuse) = {
-            let _span = obs.span("pipeline.transform");
-            if let Some(t) = phases.as_mut() {
-                t.begin("pipeline.transform");
-            }
-            let outcome = match self.reuse {
-                Some(mode) => plan_with_scheme_observed(
-                    circuit,
-                    roles,
-                    self.scheme,
-                    mode,
-                    &self.cost,
-                    &self.options,
-                    obs,
-                )
-                .map(|(d, r)| (d, Some(r))),
-                None => {
-                    transform_with_scheme_observed(circuit, roles, self.scheme, &self.options, obs)
-                        .map(|d| (d, None))
+        let (dynamic, reuse, mitigated) = self.stage(&mut phases, "pipeline.transform", || {
+            let options = TransformOptions::default();
+            let (dynamic, reuse) = match self.reuse {
+                Some(mode) => {
+                    let cost = CostModel::default();
+                    let (dynamic, report) = plan_with_scheme_observed(
+                        circuit,
+                        roles,
+                        self.scheme,
+                        mode,
+                        &cost,
+                        &options,
+                        obs,
+                    )?;
+                    (dynamic, Some(report))
                 }
+                None => (
+                    transform_with_scheme_observed(circuit, roles, self.scheme, &options, obs)?,
+                    None,
+                ),
             };
-            if let Some(t) = phases.as_mut() {
-                t.end();
-            }
-            outcome?
-        };
-        let report = {
-            let _span = obs.span("pipeline.verify");
-            if let Some(t) = phases.as_mut() {
-                t.begin("pipeline.verify");
-            }
-            let report = if self.compare_answers {
-                verify::compare_with_answers_observed(circuit, roles, &dynamic, obs)
-            } else {
+            // Verified resets and repeated measurements widen the classical
+            // register; readout calibration is counts post-processing only.
+            let rewrites =
+                self.mitigate.reset_verify.is_some() || self.mitigate.meas_repeat.is_some();
+            let mitigated =
+                rewrites.then(|| mitigate_observed(dynamic.circuit(), &self.mitigate, obs));
+            Ok::<_, DqcError>((dynamic, reuse, mitigated))
+        })?;
+        let report = self.verify.then(|| {
+            self.stage(&mut phases, "pipeline.verify", || {
                 verify::compare_observed(circuit, roles, &dynamic, obs)
-            };
-            if let Some(t) = phases.as_mut() {
-                t.end();
-            }
-            report
-        };
-        let (traditional, resources) = {
-            let _span = obs.span("pipeline.account");
-            if let Some(t) = phases.as_mut() {
-                t.begin("pipeline.account");
-            }
-            let summaries = (
+            })
+        });
+        let (traditional, resources) = self.stage(&mut phases, "pipeline.account", || {
+            (
                 ResourceSummary::of_circuit(circuit),
                 ResourceSummary::of_dynamic(&dynamic),
-            );
-            if let Some(t) = phases.as_mut() {
-                t.end();
-            }
-            summaries
-        };
+            )
+        });
         if let Some(t) = phases {
             self.tracer.submit(t.into_events());
         }
         obs.counter_add("pipeline.runs", 1);
-        obs.gauge_set("pipeline.last_tvd", report.tvd);
+        if let Some(report) = &report {
+            obs.gauge_set("pipeline.last_tvd", report.tvd);
+        }
         Ok(PipelineResult {
             scheme: self.scheme,
             dynamic,
+            mitigated,
             report,
             traditional,
             resources,
             reuse,
         })
+    }
+
+    /// Runs one stage inside an observer span and a trace phase, both
+    /// named `name`.
+    fn stage<T>(
+        &self,
+        phases: &mut Option<LocalTrace>,
+        name: &'static str,
+        body: impl FnOnce() -> T,
+    ) -> T {
+        let _span = self.observer.span(name);
+        if let Some(t) = phases.as_mut() {
+            t.begin(name);
+        }
+        let out = body();
+        if let Some(t) = phases.as_mut() {
+            t.end();
+        }
+        out
     }
 }
 
@@ -232,8 +247,12 @@ pub struct PipelineResult {
     pub scheme: DynamicScheme,
     /// The dynamic realization.
     pub dynamic: DynamicCircuit,
-    /// Exact equivalence report against the traditional circuit.
-    pub report: EquivalenceReport,
+    /// The dynamic circuit hardened by [`Pipeline::mitigate`]'s rewrite
+    /// passes; `None` when no rewrite pass was selected.
+    pub mitigated: Option<MitigatedCircuit>,
+    /// Exact equivalence report against the traditional circuit; `None`
+    /// when [`Pipeline::verify`] switched the check off.
+    pub report: Option<EquivalenceReport>,
     /// Resource summary of the traditional circuit.
     pub traditional: ResourceSummary,
     /// Resource summary of the dynamic circuit.
@@ -262,14 +281,16 @@ impl fmt::Display for PipelineResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}: {} -> {} qubits, depth x{:.2}, {} iterations, tvd {:.4}",
+            "{}: {} -> {} qubits, depth x{:.2}, {} iterations",
             self.scheme,
             self.traditional.qubits,
             self.resources.qubits,
             self.depth_overhead(),
             self.resources.iterations.unwrap_or(0),
-            self.report.tvd
         )?;
+        if let Some(report) = &self.report {
+            write!(f, ", tvd {:.4}", report.tvd)?;
+        }
         if let Some(reuse) = &self.reuse {
             write!(f, ", reuse[{reuse}]")?;
         }
@@ -301,7 +322,7 @@ mod tests {
             .run(&dj_and(), &QubitRoles::data_plus_answer(3))
             .unwrap();
         assert_eq!(result.scheme, DynamicScheme::Dynamic2);
-        assert!(result.report.equivalent(1e-10));
+        assert!(result.report.as_ref().unwrap().equivalent(1e-10));
         assert_eq!(result.qubit_saving(), 1);
         assert!(result.depth_overhead() > 1.0);
     }
@@ -313,20 +334,7 @@ mod tests {
             .scheme(DynamicScheme::Dynamic1)
             .run(&dj_and(), &roles)
             .unwrap();
-        assert!(d1.report.tvd > 0.2);
-    }
-
-    #[test]
-    fn options_are_forwarded() {
-        let roles = QubitRoles::data_plus_answer(3);
-        let result = Pipeline::new()
-            .options(TransformOptions {
-                reset_first_iteration: true,
-                ..TransformOptions::default()
-            })
-            .run(&dj_and(), &roles)
-            .unwrap();
-        assert_eq!(result.resources.resets, 3); // 3 iterations, all reset
+        assert!(d1.report.unwrap().tvd > 0.2);
     }
 
     #[test]
@@ -339,7 +347,7 @@ mod tests {
         let reuse = result.reuse.as_ref().expect("reuse mode was set");
         assert_eq!(reuse.mode, ReuseMode::Auto);
         assert_eq!(result.dynamic.lanes(), reuse.k);
-        assert!(result.report.equivalent(1e-10));
+        assert!(result.report.as_ref().unwrap().equivalent(1e-10));
         assert!(result.to_string().contains("reuse["));
     }
 
@@ -354,7 +362,7 @@ mod tests {
         // Dynamic-2 lowering adds one shared ancilla: 2 data + ancilla.
         assert_eq!(reuse.k, 3);
         assert_eq!(result.qubit_saving(), 0);
-        assert!(result.report.equivalent(1e-10));
+        assert!(result.report.as_ref().unwrap().equivalent(1e-10));
     }
 
     #[test]
@@ -383,13 +391,53 @@ mod tests {
     }
 
     #[test]
-    fn answer_comparison_extends_keys() {
+    fn mitigate_stage_hardens_the_dynamic_circuit() {
         let roles = QubitRoles::data_plus_answer(3);
+        let options = MitigationOptions::parse("reset-verify,meas-repeat=3").unwrap();
         let result = Pipeline::new()
-            .compare_answers(true)
+            .mitigate(options.clone())
             .run(&dj_and(), &roles)
             .unwrap();
-        assert_eq!(result.report.expected_outcome.len(), 3);
+        let mitigated = result.mitigated.as_ref().expect("rewrite passes selected");
+        assert_eq!(
+            qcir::qasm::to_qasm(mitigated.circuit()),
+            qcir::qasm::to_qasm(crate::mitigate(result.dynamic.circuit(), &options).circuit())
+        );
+        assert!(mitigated.circuit().num_clbits() > result.dynamic.circuit().num_clbits());
+        // Readout calibration post-processes counts: nothing to rewrite.
+        let readout_only = MitigationOptions::parse("readout-cal").unwrap();
+        for pipeline in [Pipeline::new().mitigate(readout_only), Pipeline::new()] {
+            assert!(pipeline.run(&dj_and(), &roles).unwrap().mitigated.is_none());
+        }
+    }
+
+    #[test]
+    fn verify_off_skips_the_check_and_its_records() {
+        let obs = Observer::metrics_only();
+        let tracer = Tracer::test();
+        let result = Pipeline::new()
+            .verify(false)
+            .observer(obs.clone())
+            .tracer(tracer.clone())
+            .run(&dj_and(), &QubitRoles::data_plus_answer(3))
+            .unwrap();
+        assert!(result.report.is_none());
+        assert!(!result.to_string().contains("tvd"), "{result}");
+        let metrics = obs.metrics();
+        for name in ["verify.equivalence_ns", "pipeline.verify_ns"] {
+            assert!(metrics.histogram(name).is_none(), "{name}");
+        }
+        assert_eq!(metrics.gauge("pipeline.last_tvd"), None);
+        assert_eq!(metrics.counter("pipeline.runs"), Some(1));
+        let begins: Vec<&str> = tracer
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                qobs::TraceEvent::Begin { name, .. } => Some(*name),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(begins, ["pipeline.transform", "pipeline.account"]);
     }
 
     #[test]
@@ -445,6 +493,7 @@ mod tests {
             assert_eq!(h.map(|h| h.count), Some(1), "{stage}");
         }
         assert_eq!(obs.metrics().counter("pipeline.runs"), Some(1));
+        assert!(obs.metrics().gauge("pipeline.last_tvd").is_some());
     }
 
     #[test]

@@ -388,7 +388,7 @@ pub fn plan_with_scheme_observed(
     options: &TransformOptions,
     obs: &Observer,
 ) -> Result<(DynamicCircuit, ReuseReport), DqcError> {
-    let (lowered, lowered_roles) = lower_for_scheme(circuit, roles, scheme, obs);
+    let (lowered, lowered_roles) = lower_for_scheme(circuit, roles, scheme, obs)?;
     let work_order = reorder_work_qubits(&lowered, &lowered_roles)?;
     let m = work_order.len();
 

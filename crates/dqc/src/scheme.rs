@@ -69,7 +69,10 @@ impl FromStr for DynamicScheme {
 ///
 /// # Errors
 ///
-/// Propagates every error of [`transform`](crate::transform()).
+/// Propagates every error of [`transform`](crate::transform()). The role
+/// partition is checked against `circuit` before lowering, so a
+/// [`DqcError::InvalidRoles`] names the caller's qubits and width, not
+/// those of the dynamic-2 circuit with its added ancilla.
 ///
 /// # Examples
 ///
@@ -111,7 +114,7 @@ pub fn transform_with_scheme_observed(
     options: &TransformOptions,
     obs: &Observer,
 ) -> Result<DynamicCircuit, DqcError> {
-    let (lowered, roles) = lower_for_scheme(circuit, roles, scheme, obs);
+    let (lowered, roles) = lower_for_scheme(circuit, roles, scheme, obs)?;
     transform_observed(&lowered, &roles, options, obs)
 }
 
@@ -122,13 +125,21 @@ pub fn transform_with_scheme_observed(
 ///
 /// Returns the lowered circuit together with the (possibly extended) role
 /// partition — dynamic-2 appends the decomposition's shared ancilla wires.
+///
+/// # Errors
+///
+/// Returns [`DqcError::InvalidRoles`] when `roles` does not partition the
+/// qubits of `circuit`. The check runs on the caller's circuit, before
+/// dynamic-2 adds its ancilla wires, so the message names the caller's
+/// qubits and width.
 pub(crate) fn lower_for_scheme(
     circuit: &Circuit,
     roles: &QubitRoles,
     scheme: DynamicScheme,
     obs: &Observer,
-) -> (Circuit, QubitRoles) {
-    match scheme {
+) -> Result<(Circuit, QubitRoles), DqcError> {
+    roles.validate(circuit)?;
+    Ok(match scheme {
         DynamicScheme::Direct => (circuit.clone(), roles.clone()),
         DynamicScheme::Dynamic1 => {
             let _span = obs.span("transform.lower");
@@ -146,7 +157,7 @@ pub(crate) fn lower_for_scheme(
             }
             (lowered, roles)
         }
-    }
+    })
 }
 
 /// Reorders each Toffoli's (symmetric) control pair so that the control
@@ -233,6 +244,34 @@ mod tests {
             "dynamic3".parse::<DynamicScheme>(),
             Err("unknown scheme 'dynamic3'".to_string())
         );
+    }
+
+    #[test]
+    fn role_errors_name_the_callers_circuit() {
+        // Dynamic-2 lowering adds an ancilla wire, q3, to this 3-qubit
+        // circuit; a bad role partition is still judged against the input.
+        let mut circ = Circuit::new(3, 0);
+        circ.h(q(0)).h(q(1)).ccx(q(0), q(1), q(2));
+        let opts = TransformOptions::default();
+        for answer in [3, 7] {
+            let roles = QubitRoles::new(vec![q(0), q(1), q(2)], vec![], vec![q(answer)]);
+            let expected = format!("q{answer} does not exist in a 3-qubit circuit");
+            let transformed =
+                transform_with_scheme(&circ, &roles, DynamicScheme::Dynamic2, &opts).unwrap_err();
+            let planned = crate::plan_with_scheme(
+                &circ,
+                &roles,
+                DynamicScheme::Dynamic2,
+                crate::ReuseMode::Auto,
+                &crate::CostModel::default(),
+                &opts,
+            )
+            .unwrap_err();
+            for err in [transformed, planned] {
+                assert!(matches!(err, DqcError::InvalidRoles { .. }), "{err}");
+                assert!(err.to_string().ends_with(&expected), "{err}");
+            }
+        }
     }
 
     #[test]

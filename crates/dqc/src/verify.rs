@@ -120,18 +120,6 @@ pub fn compare_with_answers(
     roles: &QubitRoles,
     dynamic: &DynamicCircuit,
 ) -> EquivalenceReport {
-    compare_with_answers_observed(circuit, roles, dynamic, &Observer::disabled())
-}
-
-/// [`compare_with_answers`] with instrumentation; see [`compare_observed`].
-#[must_use]
-pub fn compare_with_answers_observed(
-    circuit: &Circuit,
-    roles: &QubitRoles,
-    dynamic: &DynamicCircuit,
-    obs: &Observer,
-) -> EquivalenceReport {
-    let _span = obs.span("verify.equivalence");
     // Traditional side: measure data (register order) then answers above.
     let n_data = roles.data().len();
     let n_ans = roles.answer().len();

@@ -491,15 +491,20 @@ impl Server {
         // Idempotent retries: a client job id that already completed is
         // served its recorded response verbatim — byte-identical by
         // construction, no re-run, and available even while draining.
-        let served = state
-            .completions
-            .lock()
-            .ok()
-            .and_then(|done| done.get(&spec.id).cloned());
-        if let Some(response) = served {
+        let recorded = || {
+            state
+                .completions
+                .lock()
+                .ok()
+                .and_then(|done| done.get(&spec.id).cloned())
+        };
+        let serve_recorded = |response: Vec<u8>| {
             obs.counter_add("journal.dedup_served", 1);
             send(state, sink, &response);
-            return None;
+            None
+        };
+        if let Some(response) = recorded() {
+            return serve_recorded(response);
         }
         let reject = |counter: &str, reason: RejectReason| {
             obs.counter_add(counter, 1);
@@ -609,9 +614,17 @@ impl Server {
                     },
                 );
             };
-            // One id, one run: the check and the insert below share this
+            // One id, one run: the checks and the insert below share this
             // critical section, so two connections racing one id cannot
-            // both be admitted.
+            // both be admitted. `finish_job` records a completion before
+            // it leaves the registry, so a twin that missed the early check
+            // above while its job finished finds the completion here.
+            // Lock order: `completions` may be taken while `jobs` is held,
+            // never the reverse.
+            if let Some(response) = recorded() {
+                drop(jobs);
+                return serve_recorded(response);
+            }
             if jobs.inflight.contains_key(&job.id) {
                 drop(jobs);
                 return reject(
@@ -1122,7 +1135,10 @@ fn run_job(state: &Arc<State>, job: &Job, queue_wait: Duration, beat: &Arc<Atomi
                 Ok(result) => {
                     let entry = Arc::new(CachedTransform {
                         circuit: result.dynamic.circuit().clone(),
-                        tvd: result.report.tvd,
+                        tvd: result
+                            .report
+                            .unwrap_or_else(|| unreachable!("the default pipeline verifies"))
+                            .tvd,
                     });
                     claim.fill(Arc::clone(&entry));
                     (entry, false)

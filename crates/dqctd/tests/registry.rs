@@ -1,17 +1,19 @@
 //! The in-flight job registry seen from two connections: one client id
-//! runs once however its submissions race, and `cancel` reaches only the
-//! connection that submitted the job.
+//! runs once however its submissions race, also against its own
+//! completion, and `cancel` reaches only the connection that submitted the
+//! job.
 
 use dqctd::{
-    field_str, field_u64, read_frame, render_submit, write_frame, Config, JobSpec, Server,
-    MAX_FRAME_BYTES,
+    field_str, field_u64, parse_request, read_frame, render_submit, write_frame, Config, JobSpec,
+    Request, Server, MAX_FRAME_BYTES,
 };
 use qalgo::suites::toffoli_free_suite;
-use qcir::qasm::to_qasm;
+use qcir::qasm::{from_qasm, to_qasm};
 use qfault::FaultPlan;
 use std::io::{self, Cursor, Read, Write};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
 
 /// A response sink shared with the worker pool, readable from the test.
 #[derive(Clone, Default)]
@@ -139,6 +141,86 @@ fn same_id_from_two_connections_runs_once() {
         field_u64(&metrics, "service.completed"),
         Some(IDS as u64),
         "every id must run exactly once: {metrics}"
+    );
+}
+
+#[test]
+fn a_twin_that_outlasts_its_job_is_served_the_record() {
+    // Connection A submits each id and connection B the same id at once,
+    // its QASM padded with empty statements. B passes admission's early
+    // completion check while A's one-shot job still runs, then parses its
+    // padding for longer than that job takes: B reaches the registry after
+    // A's job has recorded its completion and left. Only a completion
+    // check inside the registry's critical section stops a second run.
+    const IDS: usize = 8;
+    let plain = spec("straddle", 1);
+    let mut padded = plain.clone();
+    padded.qasm.push_str(&";\n".repeat(150_000));
+    // Time B's two steps on this build: decoding the frame comes before
+    // the early check, parsing the QASM after it. A's shot sleeps until
+    // half-way through B's parse.
+    let start = Instant::now();
+    let Ok(Request::Submit(decoded)) = parse_request(&render_submit(&padded)) else {
+        panic!("the padded submission decodes");
+    };
+    let decode = start.elapsed();
+    let start = Instant::now();
+    from_qasm(&decoded.qasm).expect("the padding parses");
+    let delay = decode + start.elapsed() / 2;
+    let chaos = FaultPlan::parse(&format!(
+        "seed=3,delay=1.0,delay-ms={}",
+        delay.as_millis().max(1)
+    ))
+    .expect("spec");
+    let server = Server::start(Config {
+        workers: 1,
+        chaos: Some(chaos),
+        ..Config::default()
+    });
+    let (outputs, connections): (Vec<_>, Vec<_>) = (0..2)
+        .map(|_| {
+            let (requests, received) = mpsc::channel();
+            let out = SharedBuf::default();
+            let server = Arc::clone(&server);
+            let sink = out.clone();
+            let serving = std::thread::spawn(move || {
+                let mut reader = ChannelReader {
+                    requests: received,
+                    current: Cursor::new(Vec::new()),
+                };
+                server.serve_connection(&mut reader, Box::new(sink));
+            });
+            (out, (requests, serving))
+        })
+        .unzip();
+    for i in 0..IDS {
+        let id = format!("straddle-{i}");
+        for ((requests, _), template) in connections.iter().zip([&plain, &padded]) {
+            let submit = JobSpec {
+                id: id.clone(),
+                ..template.clone()
+            };
+            requests
+                .send(framed(&render_submit(&submit)))
+                .expect("connection open");
+        }
+        // Both connections answered before the next id goes out.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while outputs.iter().any(|out| out.frames().len() <= i) {
+            assert!(Instant::now() < deadline, "{id} unanswered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    for (requests, serving) in connections {
+        drop(requests);
+        serving.join().expect("connection thread");
+    }
+    server.join();
+    let metrics = server.metrics_json();
+    assert_eq!(
+        field_u64(&metrics, "service.accepted"),
+        Some(IDS as u64),
+        "every id must be admitted once: {metrics}"
     );
 }
 

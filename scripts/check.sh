@@ -214,7 +214,7 @@ if ! cmp -s "$TRACE_DIR/trace1.json" "$TRACE_DIR/trace8.json"; then
     echo "trace determinism gate FAILED: traces differ between thread counts" >&2
     exit 1
 fi
-for span in pipeline.transform pipeline.verify '"shot"' executor.run_resilient; do
+for span in pipeline.transform pipeline.verify pipeline.account '"shot"' executor.run_resilient; do
     if ! grep -q "$span" "$TRACE_DIR/trace1.json"; then
         echo "trace determinism gate FAILED: span $span missing from trace" >&2
         exit 1

@@ -99,7 +99,7 @@ fn pipeline_reports_match_direct_calls() {
     )
     .unwrap();
     let report = verify::compare(&circuit, &roles, &d);
-    assert_eq!(result.report.tvd, report.tvd);
+    assert_eq!(result.report.as_ref().unwrap().tvd, report.tvd);
     assert_eq!(
         result.resources.gates,
         dqc::ResourceSummary::of_dynamic(&d).gates
