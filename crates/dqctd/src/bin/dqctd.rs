@@ -29,7 +29,9 @@ OPTIONS:
     --cache N            transform cache capacity, 0 disables (default 256)
     --journal PATH       crash-only write-ahead journal: admitted jobs and
                          completions survive SIGKILL and replay on restart
-    --fsync POLICY       journal durability: always | batch | off (default batch)
+    --fsync POLICY       journal durability (default batch): always = no response
+                         before its job's admission is on disk; batch = synced
+                         in the background, nobody waits; off = never synced
     --max-inflight-mb N  in-flight statevector memory budget in MiB (default 256)
     --stall-ms N         worker heartbeat stall threshold before the watchdog
                          cancels, then replaces, a wedged worker (default 2000)

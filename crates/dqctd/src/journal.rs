@@ -47,31 +47,55 @@
 //! garbage. Truncation repositions the append cursor so the next record
 //! lands on a clean boundary.
 //!
-//! # Durability policy
+//! # Durability policy: group commit
 //!
-//! [`FsyncPolicy`] trades write latency for crash-window size: `always`
-//! fsyncs every append (no admitted job is ever lost), `batch` fsyncs
-//! every [`BATCH_SYNC_RECORDS`] appends (bounded loss window, an order of
-//! magnitude cheaper under load), `off` leaves flushing to the OS (test
-//! and bulk-replay use). Loss here means *the journal forgets the job*,
-//! never that it invents one: an unsynced torn tail is truncated away.
+//! An append only `write`s its record and gets a sequence number. Under
+//! `always` and `batch` one committer thread per journal makes records
+//! durable: whenever records are pending it calls `sync_data` once for
+//! all of them, on its own clone of the file handle, then publishes the
+//! highest sequence number that sync covered. There is no timer and no
+//! batch size; a sync covers whatever was written while the previous one
+//! ran. [`FsyncPolicy`] decides who waits for it:
+//!
+//! * `always` — no response leaves before its job's admission is durable.
+//!   The server appends the admission inside its registry lock, after
+//!   every shedding decision, without waiting; the job's response waits
+//!   for the admission's sequence number. A completion need not be durable
+//!   before its response: the committer covers it within one sync, a
+//!   clean shutdown waits for every record ([`Journal::sync`]), and if a
+//!   machine crash loses it the job re-runs and a retry gets the same
+//!   counts with new timing fields. A SIGKILL loses nothing written.
+//! * `batch` — the same committer, and nobody waits: a machine crash can
+//!   lose only what the last sync had not covered.
+//! * `off` — no committer; the OS flushes when it pleases (tests and
+//!   throwaway instances).
+//!
+//! Loss here means *the journal forgets the job*, never that it invents
+//! one: the append follows every shedding decision, so replay never
+//! brings back a rejected job, and an unsynced torn tail is truncated
+//! away.
+//!
+//! A failed write or sync is sticky. A write that failed part-way leaves
+//! a torn record, and after a failed sync the kernel may have dropped the
+//! dirty pages, so neither can be retried. The journal refuses every
+//! later append, and a wait for a record the failure left undurable
+//! returns the error, so such a job is answered with a typed error, never
+//! a result.
 
 use crate::protocol::{parse_request, render_submit, JobSpec, Request};
+use qobs::Observer;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 /// Record kind byte: an admitted job (resolved submission).
 const KIND_ADMITTED: u8 = 1;
 /// Record kind byte: a completion (id + rendered response).
 const KIND_COMPLETED: u8 = 2;
-
-/// `batch` fsync cadence: at most this many appends ride between two
-/// `fsync` calls.
-pub const BATCH_SYNC_RECORDS: u32 = 16;
 
 /// Hard cap on one journal record's body (matches the wire protocol's
 /// frame cap plus completion framing headroom): anything larger mid-file
@@ -116,12 +140,12 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// When appended records reach the disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// `fsync` after every record: an admitted job is durable before its
-    /// client could observe the admission.
+    /// The committer syncs every record, and no response leaves before
+    /// its job's admission is durable.
     Always,
-    /// `fsync` every [`BATCH_SYNC_RECORDS`] records: a crash can forget at
-    /// most one batch of admissions (it can never fabricate one). The
-    /// default.
+    /// The committer syncs every record and nobody waits for it: a crash
+    /// can forget what the last sync had not covered (it can never
+    /// fabricate an admission). The default.
     #[default]
     Batch,
     /// Never `fsync`; the OS flushes when it pleases. For tests and
@@ -274,19 +298,66 @@ pub struct Recovery {
     pub truncated_bytes: u64,
 }
 
-struct Inner {
+/// The append side of the journal, under one mutex.
+struct Log {
+    /// The append handle; the committer syncs its own clone.
     file: File,
-    policy: FsyncPolicy,
-    unsynced: u32,
-    records_written: u64,
+    /// Sequence number of the last record written through this handle
+    /// (records are numbered from 1).
+    written: u64,
+    /// Every record up to this sequence number is on disk.
+    durable: u64,
+    /// The first write or sync failure: appends are refused from then on.
+    failure: Option<io::Error>,
+    /// Set when the journal drops: the committer syncs what is pending,
+    /// then exits.
+    closing: bool,
+}
+
+impl Log {
+    /// The sticky failure, copied for one more caller (`io::Error` does
+    /// not clone).
+    fn failure(&self) -> Option<io::Error> {
+        let e = self.failure.as_ref()?;
+        Some(io::Error::new(e.kind(), format!("journal failed: {e}")))
+    }
+}
+
+/// What the appenders and the committer share.
+struct Shared {
+    log: Mutex<Log>,
+    /// Signalled when a record is written or the journal closes.
+    pending: Condvar,
+    /// Signalled when `durable` moves or the journal fails.
+    synced: Condvar,
+    observer: Observer,
+}
+
+impl Shared {
+    // Every update of `Log` leaves it valid, so a poisoned lock is
+    // recovered rather than propagated.
+    fn lock(&self) -> MutexGuard<'_, Log> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Makes `error` the journal's sticky failure and wakes every waiter.
+    fn fail(&self, log: &mut Log, error: io::Error) {
+        self.observer.counter_add("journal.sync_failed", 1);
+        log.failure.get_or_insert(error);
+        self.synced.notify_all();
+    }
 }
 
 /// An open append-only journal. Appends are serialized behind one mutex —
 /// the records are small next to the simulations they describe, and a
-/// single writer keeps the "valid prefix" invariant trivial.
+/// single writer keeps the "valid prefix" invariant trivial. Under
+/// `always` and `batch` a committer thread syncs them (module docs).
 pub struct Journal {
     path: PathBuf,
-    inner: Mutex<Inner>,
+    policy: FsyncPolicy,
+    shared: Arc<Shared>,
+    /// The committer; `None` under [`FsyncPolicy::Off`].
+    committer: Option<JoinHandle<()>>,
 }
 
 impl fmt::Debug for Journal {
@@ -302,10 +373,21 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Only on real I/O failures (open, read, truncate, seek). Corruption
-    /// is not an error: the valid prefix wins and the damage is reported
-    /// in [`Recovery::truncated_bytes`].
+    /// Only on real I/O failures (open, read, truncate, seek, starting the
+    /// committer). Corruption is not an error: the valid prefix wins and
+    /// the damage is reported in [`Recovery::truncated_bytes`].
     pub fn open(path: &Path, policy: FsyncPolicy) -> io::Result<(Journal, Recovery)> {
+        Self::open_observed(path, policy, Observer::disabled())
+    }
+
+    /// [`Journal::open`], counting `journal.records_written`,
+    /// `journal.syncs`, `journal.sync_ns` and `journal.sync_failed` into
+    /// `observer`.
+    pub(crate) fn open_observed(
+        path: &Path,
+        policy: FsyncPolicy,
+        observer: Observer,
+    ) -> io::Result<(Journal, Recovery)> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -342,34 +424,57 @@ impl Journal {
             .into_iter()
             .filter(|spec| !recovery.completed.contains_key(&spec.id))
             .collect();
+        let sync_handle = match policy {
+            FsyncPolicy::Always | FsyncPolicy::Batch => Some(file.try_clone()?),
+            FsyncPolicy::Off => None,
+        };
+        let shared = Arc::new(Shared {
+            log: Mutex::new(Log {
+                file,
+                written: 0,
+                durable: 0,
+                failure: None,
+                closing: false,
+            }),
+            pending: Condvar::new(),
+            synced: Condvar::new(),
+            observer,
+        });
+        let committer = sync_handle
+            .map(|file| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name("dqctd-journal".to_string())
+                    .spawn(move || commit_loop(&shared, &file))
+            })
+            .transpose()?;
         Ok((
             Journal {
                 path: path.to_path_buf(),
-                inner: Mutex::new(Inner {
-                    file,
-                    policy,
-                    unsynced: 0,
-                    records_written: 0,
-                }),
+                policy,
+                shared,
+                committer,
             },
             recovery,
         ))
     }
 
-    /// Appends an admission record. Call *before* enqueueing the job: once
-    /// this returns under [`FsyncPolicy::Always`], the job survives any
-    /// crash.
+    /// Appends an admission record. Call *before* enqueueing the job:
+    /// under [`FsyncPolicy::Always`] it returns once the record is
+    /// durable, and then the job survives any crash.
     ///
     /// # Errors
     ///
     /// Propagates write/fsync failures; the caller should reject the job
     /// rather than accept work it cannot make durable.
     pub fn append_admitted(&self, spec: &JobSpec) -> io::Result<()> {
-        self.append(&encode_record(&Record::Admitted(spec.clone())))
+        let seq = self.write_admitted(spec)?;
+        self.wait_durable(seq)
     }
 
     /// Appends a completion record carrying the exact `response` bytes the
-    /// job was answered with.
+    /// job was answered with; under [`FsyncPolicy::Always`] it returns once
+    /// the record is durable.
     ///
     /// # Errors
     ///
@@ -377,61 +482,146 @@ impl Journal {
     /// sent; a failed completion append means a future restart re-runs the
     /// job (idempotent by determinism), never that a response is lost.
     pub fn append_completed(&self, id: &str, response: &[u8]) -> io::Result<()> {
-        self.append(&encode_record(&Record::Completed {
+        let seq = self.write_completed(id, response)?;
+        self.wait_durable(seq)
+    }
+
+    /// Writes an admission record without waiting for the disk and returns
+    /// its sequence number, for [`Journal::wait_durable`].
+    pub(crate) fn write_admitted(&self, spec: &JobSpec) -> io::Result<u64> {
+        self.write(&encode_record(&Record::Admitted(spec.clone())))
+    }
+
+    /// Writes a completion record without waiting for the disk and returns
+    /// its sequence number.
+    pub(crate) fn write_completed(&self, id: &str, response: &[u8]) -> io::Result<u64> {
+        self.write(&encode_record(&Record::Completed {
             id: id.to_string(),
             response: response.to_vec(),
         }))
     }
 
-    fn append(&self, framed: &[u8]) -> io::Result<()> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.file.write_all(framed)?;
-        inner.records_written += 1;
-        match inner.policy {
-            FsyncPolicy::Always => inner.file.sync_data()?,
-            FsyncPolicy::Batch => {
-                inner.unsynced += 1;
-                if inner.unsynced >= BATCH_SYNC_RECORDS {
-                    inner.file.sync_data()?;
-                    inner.unsynced = 0;
-                }
+    fn write(&self, framed: &[u8]) -> io::Result<u64> {
+        let mut log = self.shared.lock();
+        if log.failure.is_none() {
+            if let Err(e) = log.file.write_all(framed) {
+                // A part-way write leaves a torn record: refusing every
+                // later append keeps it the tail that recovery truncates.
+                self.shared.fail(&mut log, e);
             }
-            FsyncPolicy::Off => {}
         }
-        Ok(())
+        if let Some(e) = log.failure() {
+            return Err(e);
+        }
+        log.written += 1;
+        self.shared
+            .observer
+            .counter_add("journal.records_written", 1);
+        self.shared.pending.notify_one();
+        Ok(log.written)
     }
 
-    /// Forces any batched appends to disk — the drain path calls this so a
-    /// clean shutdown never rides on the batch window.
+    /// Under [`FsyncPolicy::Always`], blocks until record `seq` is on
+    /// disk; under `batch` and `off` nobody waits, so it returns at once.
+    /// A response that must not leave before its admission is durable
+    /// waits here.
     ///
     /// # Errors
     ///
-    /// Propagates the fsync failure.
+    /// The journal's failure, when it failed before `seq` became durable.
+    pub(crate) fn wait_durable(&self, seq: u64) -> io::Result<()> {
+        if self.policy != FsyncPolicy::Always {
+            return Ok(());
+        }
+        let log = self.wait_synced(seq);
+        match log.failure() {
+            Some(e) if log.durable < seq => Err(e),
+            _ => Ok(()),
+        }
+    }
+
+    /// Blocks until every record written so far is on disk (under
+    /// `always` and `batch`) — the drain path calls this so a clean
+    /// shutdown never rides on a pending sync.
+    ///
+    /// # Errors
+    ///
+    /// The journal's failure, if a write or sync ever failed.
     pub fn sync(&self) -> io::Result<()> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.unsynced = 0;
-        inner.file.sync_data()
+        let written = self.shared.lock().written;
+        self.wait_synced(written).failure().map_or(Ok(()), Err)
+    }
+
+    /// Waits until record `seq` is durable or the journal failed; under
+    /// `off`, where nothing syncs, returns at once.
+    fn wait_synced(&self, seq: u64) -> MutexGuard<'_, Log> {
+        let mut log = self.shared.lock();
+        while log.durable < seq && log.failure.is_none() && self.committer.is_some() {
+            log = self
+                .shared
+                .synced
+                .wait(log)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        log
     }
 
     /// Records appended through this handle (excludes recovered ones).
     #[must_use]
     pub fn records_written(&self) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .records_written
+        self.shared.lock().written
     }
 
     /// The journal's path.
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.path
+    }
+}
+
+impl Drop for Journal {
+    fn drop(&mut self) {
+        if let Some(committer) = self.committer.take() {
+            self.shared.lock().closing = true;
+            self.shared.pending.notify_one();
+            // A committer that panicked has nothing left to sync.
+            let _ = committer.join();
+        }
+    }
+}
+
+/// The committer: whenever records are pending, one `sync_data` on its
+/// own handle covers all of them, then `durable` moves to the last record
+/// written before the sync began. Exits when the journal fails, or closes
+/// with nothing pending.
+fn commit_loop(shared: &Shared, file: &File) {
+    let mut log = shared.lock();
+    while log.failure.is_none() {
+        if log.durable == log.written {
+            if log.closing {
+                return;
+            }
+            log = shared
+                .pending
+                .wait(log)
+                .unwrap_or_else(PoisonError::into_inner);
+            continue;
+        }
+        let target = log.written;
+        drop(log);
+        let synced = {
+            let _span = shared.observer.span("journal.sync");
+            file.sync_data()
+        };
+        shared.observer.counter_add("journal.syncs", 1);
+        log = shared.lock();
+        match synced {
+            Ok(()) => {
+                log.durable = target;
+                shared.synced.notify_all();
+            }
+            Err(e) => shared.fail(&mut log, e),
+        }
     }
 }
 
@@ -587,5 +777,87 @@ mod tests {
         assert_eq!(recovery.truncated_bytes, 4);
         assert_eq!(std::fs::metadata(&path).expect("stat").len(), 0);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn concurrent_appends_share_syncs_and_recover_in_order() {
+        const THREADS: usize = 8;
+        const PER_THREAD: usize = 50;
+        let path = temp_path("group-commit");
+        let _ = std::fs::remove_file(&path);
+        {
+            let (journal, _) = Journal::open(&path, FsyncPolicy::Always).expect("open");
+            let done = std::sync::atomic::AtomicBool::new(false);
+            let start = std::sync::Barrier::new(THREADS + 1);
+            std::thread::scope(|scope| {
+                let monitor = scope.spawn(|| {
+                    let mut last = 0;
+                    start.wait();
+                    while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                        let durable = journal.shared.lock().durable;
+                        assert!(durable >= last, "durable went back: {last} -> {durable}");
+                        last = durable;
+                        std::thread::yield_now();
+                    }
+                });
+                let writers: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        let (journal, start) = (&journal, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            let seqs: Vec<u64> = (0..PER_THREAD)
+                                .map(|i| {
+                                    journal
+                                        .write_admitted(&spec(&format!("t{t}-{i}")))
+                                        .expect("write")
+                                })
+                                .collect();
+                            for &seq in &seqs {
+                                journal.wait_durable(seq).expect("durable");
+                                assert!(journal.shared.lock().durable >= seq);
+                            }
+                        })
+                    })
+                    .collect();
+                for writer in writers {
+                    writer.join().expect("writer");
+                }
+                done.store(true, std::sync::atomic::Ordering::SeqCst);
+                monitor.join().expect("monitor");
+            });
+            assert_eq!(journal.records_written(), (THREADS * PER_THREAD) as u64);
+        }
+        let (_journal, recovery) = Journal::open(&path, FsyncPolicy::Off).expect("reopen");
+        assert_eq!(recovery.records, (THREADS * PER_THREAD) as u64);
+        assert_eq!(recovery.truncated_bytes, 0);
+        for t in 0..THREADS {
+            let prefix = format!("t{t}-");
+            let ids: Vec<&str> = recovery
+                .incomplete
+                .iter()
+                .filter_map(|s| s.id.strip_prefix(&prefix))
+                .collect();
+            let expected: Vec<String> = (0..PER_THREAD).map(|i| i.to_string()).collect();
+            assert_eq!(ids, expected, "thread {t}'s records, in order");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_sync_is_sticky() {
+        // `fdatasync` on /dev/null fails (EINVAL on Linux).
+        let (journal, _) =
+            Journal::open(Path::new("/dev/null"), FsyncPolicy::Always).expect("open /dev/null");
+        let seq = journal
+            .write_admitted(&spec("first"))
+            .expect("the write succeeds");
+        assert!(journal.wait_durable(seq).is_err(), "the sync must fail");
+        assert!(
+            journal.write_admitted(&spec("second")).is_err(),
+            "appends after a failed sync are refused"
+        );
+        assert!(journal.append_completed("first", b"{}").is_err());
+        assert!(journal.sync().is_err());
+        assert_eq!(journal.records_written(), 1);
     }
 }

@@ -32,7 +32,10 @@
 //! deterministic pipeline (bit-identical counts by the executor's
 //! counter-based RNG), and duplicate submissions with an already-completed
 //! client job id are served the journaled response verbatim — client
-//! retries are idempotent.
+//! retries are idempotent. Appends never wait for the disk; under
+//! `--fsync always` a job's response waits until its admission record is
+//! synced, and a journal that cannot sync it turns the response into a
+//! typed error.
 //!
 //! Each worker carries a heartbeat the executor ticks at least once per
 //! shot; a watchdog thread samples the heartbeats and escalates a stalled
@@ -218,6 +221,9 @@ struct Job {
     client: Option<(u64, Sink)>,
     /// Statevector bytes reserved against [`Config::max_inflight_bytes`].
     bytes: u64,
+    /// Sequence number of the job's admission record (0 without a journal
+    /// or for a replayed job): its response waits for it to be durable.
+    admission: u64,
     /// Respond-once guard shared with the watchdog: whoever flips it
     /// first answers the job and settles its accounting.
     answered: AtomicBool,
@@ -251,6 +257,7 @@ impl Job {
             accepted: Instant::now(),
             token: CancelToken::new(),
             client,
+            admission: 0,
             answered: AtomicBool::new(false),
         }
     }
@@ -359,11 +366,13 @@ impl Server {
     /// A human-readable message when the journal cannot be opened or
     /// recovered.
     pub fn try_start(config: Config) -> Result<Arc<Server>, String> {
+        let observer = Observer::metrics_only();
         let mut recovery = None;
         let journal = match &config.journal {
             Some(path) => {
-                let (journal, recovered) = Journal::open(path, config.fsync)
-                    .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
+                let (journal, recovered) =
+                    Journal::open_observed(path, config.fsync, observer.clone())
+                        .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
                 recovery = Some(recovered);
                 Some(journal)
             }
@@ -372,7 +381,7 @@ impl Server {
         let state = Arc::new(State {
             cache: TransformCache::new(config.cache_capacity),
             config,
-            observer: Observer::metrics_only(),
+            observer,
             jobs: Mutex::new(Jobs::default()),
             available: Condvar::new(),
             draining: AtomicBool::new(false),
@@ -587,7 +596,7 @@ impl Server {
             }
         };
         let client = Some((conn, Arc::clone(sink)));
-        let job = Job::new(&spec, circuit, roles, scheme, &state.config, client);
+        let mut job = Job::new(&spec, circuit, roles, scheme, &state.config, client);
         // Memory admission: shed work the statevector budget cannot hold
         // *before* any allocation. The traditional circuit's width bounds
         // the transformed one (reuse only narrows), so this is
@@ -656,19 +665,22 @@ impl Server {
             // Journal the admission *after* every shedding decision and
             // *before* the push: a crash between the two forgets a job no
             // client was promised, and replay never resurrects a job that
-            // was actually rejected.
+            // was actually rejected. The write does not wait for the disk;
+            // the job's response does (`finish_job`).
             if let Some(journal) = &state.journal {
-                if let Err(e) = journal.append_admitted(&resolved_spec(&job, &spec.qasm)) {
-                    drop(jobs);
-                    obs.counter_add("journal.append_failed", 1);
-                    return reject(
-                        "service.rejected.invalid",
-                        RejectReason::Invalid {
-                            detail: format!("cannot make the job durable: {e}"),
-                        },
-                    );
+                match journal.write_admitted(&resolved_spec(&job, &spec.qasm)) {
+                    Ok(seq) => job.admission = seq,
+                    Err(e) => {
+                        drop(jobs);
+                        obs.counter_add("journal.append_failed", 1);
+                        return reject(
+                            "service.rejected.invalid",
+                            RejectReason::Invalid {
+                                detail: format!("cannot make the job durable: {e}"),
+                            },
+                        );
+                    }
                 }
-                obs.counter_add("journal.records_written", 1);
             }
             jobs.insert(Arc::new(job));
             obs.gauge_set("service.inflight_bytes", jobs.bytes as f64);
@@ -741,7 +753,9 @@ impl Server {
             let _ = watchdog.join();
         }
         if let Some(journal) = &self.state.journal {
-            let _ = journal.sync();
+            if journal.sync().is_err() {
+                self.state.observer.counter_add("journal.sync_failed", 1);
+            }
         }
     }
 
@@ -868,7 +882,7 @@ fn replay_recovery(state: &State, recovery: crate::journal::Recovery) {
                     detail: format!("recovery replay failed: {detail}"),
                 };
                 if let Some(journal) = &state.journal {
-                    let _ = journal.append_completed(&spec.id, &response.render());
+                    let _ = journal.write_completed(&spec.id, &response.render());
                 }
             }
         }
@@ -891,16 +905,27 @@ fn recovered_job(config: &Config, spec: &JobSpec) -> Result<Job, String> {
     Ok(Job::new(spec, circuit, roles, scheme, config, None))
 }
 
-/// Settles one job exactly once: sends the response (to the submitting
-/// connection, if the job has one), seeds the idempotency index, journals
-/// the completion, and takes the job out of the in-flight registry.
-/// Returns `false` when the other contender — worker vs watchdog — got
-/// there first.
+/// Settles one job exactly once: waits for its admission to be durable,
+/// sends the response (to the submitting connection, if the job has one),
+/// seeds the idempotency index, journals the completion without waiting,
+/// and takes the job out of the in-flight registry. Returns `false` when
+/// the other contender — worker vs watchdog — got there first.
 fn finish_job(state: &State, job: &Job, response: &Response) -> bool {
     if job.answered.swap(true, Ordering::SeqCst) {
         return false;
     }
     let obs = &state.observer;
+    // No response leaves before its admission is durable (under `--fsync
+    // always`); an admission the journal failed to sync turns any answer
+    // into a typed error.
+    let undurable = state.journal.as_ref().and_then(|journal| {
+        let e = journal.wait_durable(job.admission).err()?;
+        Some(Response::Error {
+            id: Some(job.id.clone()),
+            detail: format!("cannot make the job durable: {e}"),
+        })
+    });
+    let response = undurable.as_ref().unwrap_or(response);
     let payload = response.render();
     if let Some((_, sink)) = &job.client {
         send(state, sink, &payload);
@@ -911,9 +936,7 @@ fn finish_job(state: &State, job: &Job, response: &Response) -> bool {
         }
     }
     if let Some(journal) = &state.journal {
-        if journal.append_completed(&job.id, &payload).is_ok() {
-            obs.counter_add("journal.records_written", 1);
-        } else {
+        if journal.write_completed(&job.id, &payload).is_err() {
             obs.counter_add("journal.append_failed", 1);
         }
     }

@@ -162,8 +162,10 @@ fn sigkill_mid_burst_replays_every_admitted_job_bit_identically() {
     // Phase 1: boot with a 50 ms/shot injected delay — 300 shots per job
     // cannot finish before the kill — submit the burst, and confirm
     // admission reached the journal (the pong answers only after every
-    // earlier frame on the connection was dispatched; fsync=always makes
-    // each admission durable before it is queued).
+    // earlier frame on the connection was dispatched, and each admission
+    // is written before it is queued; a SIGKILL keeps written pages, so
+    // the drill checks "written before queued" — syncing only matters to
+    // a machine crash).
     let (mut victim, port) = boot(&journal, &["--inject", "seed=3,delay=1.0,delay-ms=50"]);
     {
         let mut stream = connect(port);

@@ -437,6 +437,98 @@ fn restart_replays_admitted_but_unanswered_jobs_deterministically() {
 }
 
 #[test]
+fn a_burst_under_fsync_always_matches_a_journal_less_server_and_recovers_clean() {
+    const JOBS: u64 = 64;
+    let path = temp_journal("burst");
+    let burst: Vec<JobSpec> = (0..JOBS)
+        .map(|i| {
+            let mut job = spec(&format!("burst-{i}"), 64);
+            job.seed = Some(i);
+            job
+        })
+        .collect();
+    let run = |journal: Option<PathBuf>| {
+        let server = Server::start(Config {
+            journal,
+            fsync: FsyncPolicy::Always,
+            ..Config::default()
+        });
+        let sink = SharedBuf::default();
+        let request = framed(&burst.iter().map(render_submit).collect::<Vec<_>>());
+        server.serve_connection(&mut request.as_slice(), Box::new(sink.clone()));
+        let frames = wait_for_frames(&sink, JOBS as usize);
+        server.join();
+        frames
+    };
+    let durable = run(Some(path.clone()));
+    let direct = run(None);
+    for job in &burst {
+        let answer = response_for(&durable, &job.id).expect("every job answered");
+        assert_eq!(
+            field_str(answer, "termination"),
+            Some("completed"),
+            "{answer}"
+        );
+        let reference = response_for(&direct, &job.id).expect("reference answered");
+        assert_eq!(field_counts(answer), field_counts(reference), "{}", job.id);
+    }
+    let (_journal, recovery) = Journal::open(&path, FsyncPolicy::Off).expect("reopen");
+    assert_eq!(
+        recovery.records,
+        2 * JOBS,
+        "64 admissions and 64 completions"
+    );
+    assert_eq!(recovery.completed.len(), JOBS as usize);
+    assert!(recovery.incomplete.is_empty(), "{:?}", recovery.incomplete);
+    assert_eq!(recovery.truncated_bytes, 0);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_journal_that_cannot_sync_never_answers_with_a_result() {
+    // `fdatasync` on /dev/null fails (EINVAL on Linux): no admission can
+    // become durable, so under `always` no job may be answered `result`.
+    const JOBS: usize = 8;
+    let server = Server::start(Config {
+        journal: Some(PathBuf::from("/dev/null")),
+        fsync: FsyncPolicy::Always,
+        ..Config::default()
+    });
+    let sink = SharedBuf::default();
+    let ids: Vec<String> = (0..JOBS).map(|i| format!("undurable-{i}")).collect();
+    let request = framed(
+        &ids.iter()
+            .map(|id| render_submit(&spec(id, 64)))
+            .collect::<Vec<_>>(),
+    );
+    server.serve_connection(&mut request.as_slice(), Box::new(sink.clone()));
+    wait_for_frames(&sink, JOBS);
+    server.join();
+    let frames = frames_of(&sink.0.lock().expect("sink lock"));
+    assert_eq!(frames.len(), JOBS, "one answer per job: {frames:?}");
+    for id in &ids {
+        let answers: Vec<&String> = frames
+            .iter()
+            .filter(|f| field_str(f, "id") == Some(id))
+            .collect();
+        assert_eq!(answers.len(), 1, "{id}: {answers:?}");
+        let kind = field_str(answers[0], "type");
+        assert!(
+            matches!(kind, Some("error" | "rejected")),
+            "{id} answered without a durable admission: {}",
+            answers[0]
+        );
+        assert!(
+            answers[0].contains("cannot make the job durable"),
+            "{}",
+            answers[0]
+        );
+    }
+    let metrics = server.metrics_json();
+    assert!(metrics.contains("\"journal.sync_failed\""), "{metrics}");
+}
+
+#[test]
 fn duplicate_in_flight_ids_are_rejected_not_raced() {
     let chaos = FaultPlan::parse("seed=3,delay=1.0,delay-ms=20").expect("spec");
     let server = Server::start(Config {

@@ -385,7 +385,12 @@ fi
 # admitted job is still incomplete), restarted on the same journal, and
 # must replay every admitted job; retries under the original idempotency
 # keys must return completed results, twice, byte-identically — and the
-# replayed counts must match an uninterrupted run of the same jobs.
+# replayed counts must match an uninterrupted run of the same jobs. Each
+# admission is written before it is queued and a SIGKILL keeps written
+# pages, so this checks "written before queued"; `--fsync always` only
+# adds that no response leaves before its admission is synced. Before
+# the revived daemon drains, its metrics must show the journal's
+# committer at work: 1 <= journal.syncs <= journal.records_written.
 if [ "$FAST" -eq 0 ]; then
     echo "==> crash-recovery gate: SIGKILL mid-burst, journal replay"
     CRASH_DIR="$(mktemp -d)"
@@ -460,6 +465,24 @@ if [ "$FAST" -eq 0 ]; then
         REPLAYED_COUNTS="$REPLAYED_COUNTS$(grep -o '"counts":{[^}]*}' <<<"$r1")
 "
     done
+    # Every sync covers at least one pending record, and the replayed
+    # completions must have been synced (polled: they are not waited for).
+    committed=0
+    for _ in $(seq 1 50); do
+        crash_metrics="$(crash_client metrics 2>/dev/null || true)"
+        syncs="$(grep -o '"journal.syncs":[0-9]*' <<<"$crash_metrics" | cut -d: -f2 || true)"
+        records="$(grep -o '"journal.records_written":[0-9]*' <<<"$crash_metrics" | cut -d: -f2 || true)"
+        if [ -n "$syncs" ] && [ -n "$records" ] && [ "$syncs" -ge 1 ] && [ "$syncs" -le "$records" ]; then
+            committed=1
+            break
+        fi
+        sleep 0.1
+    done
+    if [ "$committed" -ne 1 ]; then
+        echo "crash-recovery gate FAILED: want 1 <= journal.syncs (${syncs:-absent}) <= journal.records_written (${records:-absent})" >&2
+        kill "$CRASH_PID" 2>/dev/null || true
+        exit 1
+    fi
     kill -TERM "$CRASH_PID"
     wait "$CRASH_PID" || true
     rm -f "$CRASH_DIR/journal"
@@ -478,7 +501,8 @@ if [ "$FAST" -eq 0 ]; then
         exit 1
     fi
     rm -rf "$CRASH_DIR"
-    echo "    3 jobs replayed after SIGKILL, retries byte-identical, counts match an uninterrupted run"
+    echo "    3 jobs replayed after SIGKILL, retries byte-identical, counts match an uninterrupted run,"
+    echo "    $records journal records committed in $syncs syncs"
 else
     echo "==> crash-recovery gate skipped (--fast; the drill wants release codegen)"
 fi
